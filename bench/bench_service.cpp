@@ -61,12 +61,19 @@ std::vector<Request> make_stream(std::size_t count, int hit_pct) {
   return requests;
 }
 
+/// Cache weight of one classify entry for a unique_spec()-sized spec.
+std::size_t classify_entry_bytes() {
+  const arch::ArchitectureSpec spec = unique_spec();
+  return ResultCache::entry_bytes(
+      ClassifyResponse{spec, spec.classify(), spec.flexibility()});
+}
+
 EngineOptions engine_options(unsigned threads) {
   EngineOptions options;
   options.worker_threads = threads;
   options.queue_capacity = 16384;
   options.cache_shards = 16;
-  options.cache_capacity_per_shard = 256;
+  options.cache_bytes = 16 * 256 * classify_entry_bytes();  // 256 per shard
   return options;
 }
 

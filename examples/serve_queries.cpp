@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
 
   std::cout << "== serve_queries: " << options.worker_threads
             << " workers, queue capacity " << options.queue_capacity
-            << ", cache " << options.cache_shards << "x"
-            << options.cache_capacity_per_shard << " ==\n\n";
+            << ", cache " << options.cache_bytes / 1024 << " KiB over "
+            << options.cache_shards << " shards ==\n\n";
 
   // Build the mixed batch.
   std::vector<Request> batch;

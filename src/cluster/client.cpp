@@ -134,8 +134,18 @@ service::QueryResponse ClusterClient::call(
   service::QueryResponse fallback;
   bool have_fallback = false;
 
+  // An attempt lost to an unreachable or dead endpoint: the request
+  // moves on to the next replica, so it counts as a failover whether
+  // the loss surfaced at connect, at send, or while awaiting the answer.
+  const auto fail_over = [&](std::size_t index, std::string error) {
+    tracker_->record_failure(index);
+    last_error = std::move(error);
+    if (metrics) metrics->net_failovers.add();
+    trace::emit_instant("cluster.failover", trace::Category::Cluster,
+                        "endpoint", static_cast<std::int64_t>(index));
+  };
+
   const auto launch_next = [&](bool as_hedge) {
-    bool first_attempt = next_candidate == 0;
     while (next_candidate < candidates.size()) {
       const std::size_t index = candidates[next_candidate++];
       const bool already_in_flight =
@@ -148,12 +158,7 @@ service::QueryResponse ClusterClient::call(
       if (client == nullptr ||
           !client->send_request(request, deadline, trace_id, id, error,
                                 priority)) {
-        // Moving past an unreachable candidate is a failover too (except
-        // for the very first attempt of a never-routed request).
-        tracker_->record_failure(index);
-        last_error = error;
-        if (!first_attempt && metrics) metrics->net_failovers.add();
-        first_attempt = false;
+        fail_over(index, std::move(error));
         continue;
       }
       in_flight.push_back({index, id, client, as_hedge});
@@ -221,11 +226,7 @@ service::QueryResponse ClusterClient::call(
       const int completed = f.client->pump(slice, error);
       if (completed < 0) {
         // Transport death: this attempt is lost; the endpoint is sick.
-        tracker_->record_failure(f.endpoint);
-        last_error = error;
-        if (metrics) metrics->net_failovers.add();
-        trace::emit_instant("cluster.failover", trace::Category::Cluster,
-                            "endpoint", static_cast<std::int64_t>(f.endpoint));
+        fail_over(f.endpoint, std::move(error));
         in_flight.erase(in_flight.begin() +
                         static_cast<std::ptrdiff_t>(i));
         continue;
@@ -322,18 +323,18 @@ std::vector<service::QueryResponse> ClusterClient::call_many(
     while (slot.next_candidate < slot.candidates.size()) {
       const std::size_t index = slot.candidates[slot.next_candidate++];
       std::string error;
-      net::Client* client = endpoint_client(index, error);
-      if (client == nullptr) {
-        tracker_->record_failure(index);
-        last_error = error;
-        continue;
-      }
       std::uint64_t id = 0;
-      if (!client->send_request(requests[i], deadline,
+      net::Client* client = endpoint_client(index, error);
+      if (client == nullptr ||
+          !client->send_request(requests[i], deadline,
                                 trace_id != 0 ? trace_id : slot.key, id,
                                 error, priority)) {
+        // Passing over an unreachable replica is a failover, as in call().
         tracker_->record_failure(index);
         last_error = error;
+        if (metrics) metrics->net_failovers.add();
+        trace::emit_instant("cluster.failover", trace::Category::Cluster,
+                            "endpoint", static_cast<std::int64_t>(index));
         continue;
       }
       slot.endpoint = index;

@@ -385,7 +385,7 @@ QueryResponse execute_cost(const CostRequest& request,
 
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_shards, options_.cache_capacity_per_shard),
+      cache_(options_.cache_shards, options_.cache_bytes),
       queue_(std::make_unique<qos::WfqQueue<Task>>(
           options_.queue_capacity == 0 ? 1 : options_.queue_capacity,
           options_.wfq_weights)),

@@ -25,6 +25,9 @@
 
 namespace mpct::service {
 
+/// The engine's result cache: payloads weighed by payload_bytes.
+using ResultCache = ShardedLruCache<ResponsePayload, &payload_bytes>;
+
 /// Tuning knobs of a QueryEngine.
 struct EngineOptions {
   /// Worker threads executing queued requests.  0 selects the
@@ -38,9 +41,12 @@ struct EngineOptions {
   std::size_t queue_capacity = 1024;
 
   /// Result cache geometry; shards are rounded up to a power of two.
-  /// Total capacity = cache_shards * cache_capacity_per_shard.
+  /// cache_bytes is the total budget, split evenly over the shards; an
+  /// entry weighs ResultCache::entry_bytes (its payload_bytes plus the
+  /// cache's bookkeeping), and one heavier than a shard's share is not
+  /// cached.
   std::size_t cache_shards = 8;
-  std::size_t cache_capacity_per_shard = 128;
+  std::size_t cache_bytes = std::size_t{1} << 20;
   bool enable_cache = true;
 
   /// Upper bound on the number of requests a worker drains from the
@@ -378,7 +384,7 @@ class QueryEngine {
 
   EngineOptions options_;
   MetricsRegistry metrics_;
-  ShardedLruCache<ResponsePayload> cache_;
+  ResultCache cache_;
   std::unique_ptr<qos::WfqQueue<Task>> queue_;
   qos::AdmissionController admission_;
   qos::CancelRegistry cancels_;

@@ -249,6 +249,7 @@ std::string MetricsRegistry::to_table(const CacheStats& cache) const {
   table.add_row({"misses", std::to_string(cache_misses.value())});
   table.add_row({"hit rate", format_rate(cache_hit_rate())});
   table.add_row({"entries", std::to_string(cache.entries)});
+  table.add_row({"bytes", std::to_string(cache.bytes)});
   table.add_row({"insertions", std::to_string(cache.insertions)});
   table.add_row({"evictions", std::to_string(cache.evictions)});
 
@@ -336,6 +337,7 @@ std::string MetricsRegistry::to_csv(const CacheStats& cache) const {
   csv.add_row({"cache_misses", std::to_string(cache_misses.value())});
   csv.add_row({"cache_hit_rate", format_rate(cache_hit_rate())});
   csv.add_row({"cache_entries", std::to_string(cache.entries)});
+  csv.add_row({"cache_bytes", std::to_string(cache.bytes)});
   csv.add_row({"cache_insertions", std::to_string(cache.insertions)});
   csv.add_row({"cache_evictions", std::to_string(cache.evictions)});
   for (std::size_t i = 0; i < kRequestTypeCount; ++i) {
@@ -503,6 +505,9 @@ std::string MetricsRegistry::to_prometheus(const CacheStats& cache,
            "Entries currently resident in the result cache.");
   w.sample("mpct_cache_entries", {},
            static_cast<std::uint64_t>(cache.entries));
+  w.header("mpct_cache_bytes", PromWriter::Type::Gauge,
+           "Resident weight of the result cache's entries, in bytes.");
+  w.sample("mpct_cache_bytes", {}, static_cast<std::uint64_t>(cache.bytes));
   w.header("mpct_cache_insertions_total", PromWriter::Type::Counter,
            "Result-cache insertions.");
   w.sample("mpct_cache_insertions_total", {},

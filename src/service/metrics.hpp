@@ -240,7 +240,8 @@ class MetricsRegistry {
 
   /// Render as a report::TextTable (ASCII) — one row per counter/gauge,
   /// then one row per request type with count/mean/p50/p95/p99.
-  /// @p cache supplies entry counts and evictions from the cache itself.
+  /// @p cache supplies entry counts, resident bytes and evictions from
+  /// the cache itself.
   std::string to_table(const CacheStats& cache) const;
 
   /// Same data as CSV (metric,value rows then per-type latency rows),

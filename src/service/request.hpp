@@ -228,6 +228,13 @@ using ResponsePayload =
                  CostResponse, SweepResponse, FaultSweepResponse,
                  SweepChunkResponse, FaultChunkResponse, SimulateResponse>;
 
+/// Resident size of @p payload: sizeof(ResponsePayload) plus the heap
+/// bytes its vectors and strings hold (capacity, not size) — the cell
+/// and curve points, the Pareto front, the trial outcomes, the
+/// recommendations and their rationales, the resolved spec's text.
+/// O(1) per container; the result cache weighs every entry by it.
+std::size_t payload_bytes(const ResponsePayload& payload);
+
 /// What a submitted query resolves to.  `status` is always meaningful;
 /// the payload alternative matches the request type only when status.ok().
 ///

@@ -10,6 +10,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -350,12 +351,22 @@ TEST(ClusterClientTest, DeadEndpointFailsOverWithZeroFailedRequests) {
   options.connect_timeout = std::chrono::milliseconds(300);
   ClusterClient client(options);
 
-  // Warm every connection, then kill one backend: every subsequent
-  // request must still be answered (ring successors absorb the dead
-  // endpoint's keys), with zero failures surfacing to the caller.
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(client.call(classify_request(i)).ok());
+  // Warm every connection (one request per ring owner; placement
+  // follows the ephemeral ports, so a fixed request list may miss an
+  // endpoint), then kill one backend: every subsequent request must
+  // still be answered (ring successors absorb the dead endpoint's keys),
+  // with zero failures surfacing to the caller.
+  std::vector<bool> warmed(fleet.endpoints().size(), false);
+  for (std::size_t i = 0;
+       i < 256 && std::find(warmed.begin(), warmed.end(), false) !=
+                      warmed.end();
+       ++i) {
+    const Request request = diverse_request(1000 + i);
+    warmed[client.owner_of(request)] = true;
+    ASSERT_TRUE(client.call(request).ok());
   }
+  ASSERT_EQ(std::find(warmed.begin(), warmed.end(), false), warmed.end())
+      << "no warm-up request hashed onto some endpoint";
   fleet.kill(1);
   std::size_t routed_to_dead = 0;
   for (std::size_t i = 0; i < 32; ++i) {
@@ -370,6 +381,32 @@ TEST(ClusterClientTest, DeadEndpointFailsOverWithZeroFailedRequests) {
   // Down endpoints are skipped up front: later calls do not pay a
   // connect timeout per request (this stays fast, which the 16-call
   // loop above implicitly asserts by finishing under the test timeout).
+}
+
+TEST(ClusterClientTest, NeverConnectedDeadOwnerCountsOneFailover) {
+  Fleet fleet(3);
+  service::MetricsRegistry metrics;
+  ClusterOptions options = cluster_options(fleet.endpoints(), &metrics);
+  options.health.suspect_after = 1;
+  options.health.down_after = 1;
+  options.connect_timeout = std::chrono::milliseconds(300);
+  ClusterClient client(options);
+
+  // The owner dies before the client ever connects to it: the loss
+  // surfaces at connect, not mid-request, and is a failover all the same.
+  fleet.kill(1);
+  std::size_t routed_to_dead = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const Request request = diverse_request(i);
+    if (client.owner_of(request) == 1) ++routed_to_dead;
+    const QueryResponse response = client.call(request);
+    EXPECT_TRUE(response.ok()) << i << ": " << response.status.to_string();
+  }
+  EXPECT_GT(routed_to_dead, 0u);
+  // The first refused connect marks the endpoint Down; later requests it
+  // owns skip it up front, which is routing, not a failover.
+  EXPECT_EQ(metrics.net_failovers.value(), 1u);
+  EXPECT_EQ(client.health().state(1), HealthState::Down);
 }
 
 TEST(ClusterClientTest, HedgeWinsAgainstAStalledServerAndCancelsTheLoser) {
@@ -462,6 +499,50 @@ TEST(CombiningProxyTest, MergedSweepsAreBitIdenticalToASingleServer) {
   EXPECT_GT(proxy.metrics().net_requests_sent.value(), 3u);
   proxy.stop();
   EXPECT_FALSE(proxy.running());
+}
+
+TEST(CombiningProxyTest, RepeatedSweepChunksHitTheBackendCaches) {
+  Fleet fleet(2);
+  cluster::ProxyOptions poptions;
+  poptions.cluster = cluster_options(fleet.endpoints());
+  poptions.cluster.enable_hedging = false;  // one RPC per chunk
+  poptions.worker_threads = 2;
+  poptions.enable_pinger = false;  // no probes between the counts
+  CombiningProxy proxy(poptions);
+  ASSERT_TRUE(proxy.start()) << proxy.error();
+
+  net::ClientOptions copts;
+  copts.port = proxy.port();
+  net::Client client(copts);
+
+  const auto backend_cache = [&fleet] {
+    service::CacheStats total;
+    for (std::size_t i = 0; i < 2; ++i) total += fleet.engine(i).cache_stats();
+    return total;
+  };
+
+  const QueryResponse first = client.call(sweep_request());
+  ASSERT_TRUE(first.ok()) << first.status.to_string();
+  const service::CacheStats cold = backend_cache();
+  const std::uint64_t chunks = proxy.metrics().net_requests_sent.value();
+  ASSERT_GT(chunks, 0u);
+  EXPECT_EQ(cold.insertions, chunks);  // every chunk was admitted
+
+  // The same sweep scatters into the same chunks on the same ring
+  // owners: each one is answered from that backend's cache.
+  const QueryResponse second = client.call(sweep_request());
+  ASSERT_TRUE(second.ok()) << second.status.to_string();
+  expect_payload_parity(second, first);
+  const service::CacheStats warm = backend_cache();
+  EXPECT_EQ(proxy.metrics().net_requests_sent.value(), 2 * chunks);
+  EXPECT_EQ(warm.hits - cold.hits, chunks);
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.insertions, cold.insertions);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_LE(fleet.engine(i).cache_stats().bytes,
+              service::EngineOptions{}.cache_bytes);
+  }
+  proxy.stop();
 }
 
 TEST(CombiningProxyTest, KilledBackendMidTrafficLosesNoRequests) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace mpct {
 namespace {
 
@@ -69,6 +71,14 @@ struct CellCase {
   const char* cell;
   std::optional<SwitchKind> expected;
 };
+
+// Names each case by its contents (the test list, and so every test
+// name derived from it, would otherwise show the bytes of the struct,
+// pointer included, which change from build to build).
+void PrintTo(const CellCase& c, std::ostream* os) {
+  *os << "'" << c.cell << "' -> "
+      << (c.expected ? to_string(*c.expected) : "rejected");
+}
 
 class SwitchKindFromCell : public ::testing::TestWithParam<CellCase> {};
 

@@ -8,11 +8,14 @@
 /// sequential API rather than for exact metric counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/registry.hpp"
@@ -134,7 +137,8 @@ TEST(Fingerprint, RequirementFieldsAllParticipate) {
 // Sharded LRU cache
 
 TEST(ShardedLruCache, HitMissAndEvictionAccounting) {
-  ShardedLruCache<int> cache(/*shard_count=*/1, /*capacity_per_shard=*/2);
+  const std::size_t weight = ShardedLruCache<int>::entry_bytes(0);
+  ShardedLruCache<int> cache(/*shard_count=*/1, /*budget_bytes=*/2 * weight);
   EXPECT_EQ(cache.get(1), nullptr);  // miss
   cache.put(1, 10);
   cache.put(2, 20);
@@ -148,12 +152,13 @@ TEST(ShardedLruCache, HitMissAndEvictionAccounting) {
   EXPECT_EQ(stats.insertions, 3u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, 2 * weight);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
 }
 
 TEST(ShardedLruCache, LruOrderIsPerShardRecency) {
-  ShardedLruCache<int> cache(1, 3);
+  ShardedLruCache<int> cache(1, 3 * ShardedLruCache<int>::entry_bytes(0));
   cache.put(1, 1);
   cache.put(2, 2);
   cache.put(3, 3);
@@ -166,18 +171,142 @@ TEST(ShardedLruCache, LruOrderIsPerShardRecency) {
 }
 
 TEST(ShardedLruCache, ShardCountRoundsUpToPowerOfTwo) {
-  ShardedLruCache<int> cache(5, 1);
+  ShardedLruCache<int> cache(5, 8000);
   EXPECT_EQ(cache.shard_count(), 8u);
-  EXPECT_EQ(cache.capacity(), 8u);
+  EXPECT_EQ(cache.shard_budget_bytes(), 1000u);
+  EXPECT_EQ(cache.budget_bytes(), 8000u);
 }
 
 TEST(ShardedLruCache, EvictedValueSurvivesThroughSharedPtr) {
-  ShardedLruCache<std::string> cache(1, 1);
+  using StringCache = ShardedLruCache<std::string>;
+  StringCache cache(1, StringCache::entry_bytes(std::string("second")));
   cache.put(1, std::string("first"));
   std::shared_ptr<const std::string> held = cache.get(1);
   cache.put(2, std::string("second"));  // evicts key 1
   ASSERT_NE(held, nullptr);
   EXPECT_EQ(*held, "first");  // reader's reference stays valid
+}
+
+// ---------------------------------------------------------------------------
+// Result cache: payloads weighed by payload_bytes
+
+ResponsePayload classify_payload(const arch::ArchitectureSpec& spec) {
+  return ClassifyResponse{spec, spec.classify(), spec.flexibility()};
+}
+
+ResponsePayload sweep_chunk_payload(std::size_t cells) {
+  SweepChunkResponse chunk;
+  chunk.points.resize(cells);
+  return chunk;
+}
+
+TEST(ResultCache, PayloadBytesCountsWhatThePayloadHolds) {
+  const ResponsePayload empty = sweep_chunk_payload(0);
+  EXPECT_EQ(payload_bytes(empty), sizeof(ResponsePayload));
+  const ResponsePayload chunk = sweep_chunk_payload(100);
+  EXPECT_EQ(payload_bytes(chunk),
+            sizeof(ResponsePayload) + 100 * sizeof(explore::SweepPoint));
+  EXPECT_GE(payload_bytes(classify_payload(arch::surveyed_architectures()[0])),
+            sizeof(ResponsePayload));
+  EXPECT_EQ(ResultCache::entry_bytes(chunk),
+            payload_bytes(chunk) + ResultCache::kEntryOverhead);
+}
+
+TEST(ResultCache, ResidentBytesNeverExceedTheBudget) {
+  const auto& specs = arch::surveyed_architectures();
+  ResultCache cache(/*shard_count=*/4, /*budget_bytes=*/64 * 1024);
+  std::mt19937_64 rng(7);
+  std::unordered_map<Fingerprint, std::shared_ptr<const ResponsePayload>>
+      admitted;
+  std::size_t refused = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const Fingerprint key = rng() % 512;
+    const auto value = std::make_shared<const ResponsePayload>(
+        rng() % 2 == 0 ? classify_payload(specs[rng() % specs.size()])
+                       : sweep_chunk_payload(rng() % 400));
+    if (ResultCache::entry_bytes(*value) > cache.shard_budget_bytes()) {
+      ++refused;
+    } else {
+      admitted[key] = value;
+    }
+    cache.put(key, value);
+    ASSERT_LE(cache.stats().bytes, cache.budget_bytes()) << "put " << i;
+    for (const CacheStats& shard : cache.shard_stats()) {
+      ASSERT_LE(shard.bytes, cache.shard_budget_bytes()) << "put " << i;
+    }
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+
+  // The resident entries are the last admitted value of their key, and
+  // their weights sum to the reported bytes.
+  std::size_t resident_bytes = 0;
+  std::size_t resident = 0;
+  for (const auto& [key, value] : admitted) {
+    const auto hit = cache.get(key);
+    if (!hit) continue;
+    EXPECT_EQ(hit, value);
+    resident_bytes += ResultCache::entry_bytes(*hit);
+    ++resident;
+  }
+  EXPECT_EQ(resident, stats.entries);
+  EXPECT_EQ(resident_bytes, stats.bytes);
+}
+
+TEST(ResultCache, OversizeEntryIsRefusedAndEvictsNothing) {
+  const auto& specs = arch::surveyed_architectures();
+  ResultCache cache(/*shard_count=*/1,
+                    4 * ResultCache::entry_bytes(classify_payload(specs[0])));
+  for (std::size_t i = 0; i < 3; ++i) cache.put(i, classify_payload(specs[i]));
+  const CacheStats before = cache.stats();
+  ASSERT_EQ(before.entries, 3u);
+
+  const ResponsePayload oversize = sweep_chunk_payload(
+      cache.shard_budget_bytes() / sizeof(explore::SweepPoint));
+  ASSERT_GT(ResultCache::entry_bytes(oversize), cache.shard_budget_bytes());
+  cache.put(99, oversize);
+  EXPECT_EQ(cache.get(99), nullptr);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NE(cache.get(i), nullptr);
+
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.entries, 3u);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_LE(after.bytes, cache.budget_bytes());
+}
+
+TEST(ResultCache, RefreshReplacesTheEntryWeight) {
+  const ResponsePayload small = sweep_chunk_payload(4);
+  const ResponsePayload large = sweep_chunk_payload(64);
+  const std::size_t small_bytes = ResultCache::entry_bytes(small);
+  const std::size_t large_bytes = ResultCache::entry_bytes(large);
+  ResultCache cache(1, small_bytes + large_bytes);
+  cache.put(1, small);
+  cache.put(2, small);
+  EXPECT_EQ(cache.stats().bytes, 2 * small_bytes);
+
+  cache.put(1, large);  // grows in place: small + large still fits
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bytes, small_bytes + large_bytes);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.insertions, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
+
+  cache.put(2, large);  // two large entries do not fit: evicts key 1
+  EXPECT_EQ(cache.get(1), nullptr);
+  EXPECT_NE(cache.get(2), nullptr);
+  stats = cache.stats();
+  EXPECT_EQ(stats.bytes, large_bytes);
+  EXPECT_EQ(stats.evictions, 1u);
+
+  cache.put(2, small);  // shrinks in place
+  stats = cache.stats();
+  EXPECT_EQ(stats.bytes, small_bytes);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 2u);
+  EXPECT_LE(stats.bytes, cache.budget_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +411,9 @@ TEST(Metrics, RendersTableAndCsv) {
   const std::string csv = engine.metrics().to_csv(engine.cache_stats());
   EXPECT_NE(csv.find("cache_hits,1"), std::string::npos);
   EXPECT_NE(csv.find("submitted,2"), std::string::npos);
+  EXPECT_NE(csv.find("cache_bytes," +
+                     std::to_string(engine.cache_stats().bytes)),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,10 +523,17 @@ TEST(QueryEngineSingleThread, InvalidCostSweepRejected) {
 
 TEST(QueryEngineSingleThread, CacheHitsAndEvictions) {
   EngineOptions options = single_threaded();
-  options.cache_shards = 1;
-  options.cache_capacity_per_shard = 2;
-  QueryEngine engine(options);
   const auto specs = arch::surveyed_architectures();
+  // Room for exactly two of these classify entries (the heaviest's
+  // weight twice), not three.
+  std::size_t classify_bytes = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    classify_bytes = std::max(
+        classify_bytes, ResultCache::entry_bytes(classify_payload(specs[i])));
+  }
+  options.cache_shards = 1;
+  options.cache_bytes = 2 * classify_bytes;
+  QueryEngine engine(options);
 
   // Miss, then hit.
   EXPECT_FALSE(engine.submit(classify_request(specs[0])).get().cache_hit);
@@ -406,6 +545,7 @@ TEST(QueryEngineSingleThread, CacheHitsAndEvictions) {
   engine.submit(classify_request(specs[1])).get();
   engine.submit(classify_request(specs[2])).get();
   EXPECT_EQ(engine.cache_stats().evictions, 1u);
+  EXPECT_LE(engine.cache_stats().bytes, options.cache_bytes);
   EXPECT_FALSE(engine.submit(classify_request(specs[0])).get().cache_hit);
 
   // A cached payload is identical to a computed one.

@@ -438,6 +438,7 @@ TEST_F(TraceTest, RegistryPrometheusExpositionIsWellFormed) {
   service::CacheStats cache;
   cache.hits = 7;
   cache.entries = 3;
+  cache.bytes = 4096;
   const std::string text = metrics.to_prometheus(cache);
 
   EXPECT_NE(text.find("# TYPE mpct_requests_submitted_total counter"),
@@ -446,6 +447,8 @@ TEST_F(TraceTest, RegistryPrometheusExpositionIsWellFormed) {
   EXPECT_NE(text.find("# TYPE mpct_queue_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("mpct_queue_depth 2"), std::string::npos);
   EXPECT_NE(text.find("mpct_cache_entries 3"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE mpct_cache_bytes gauge"), std::string::npos);
+  EXPECT_NE(text.find("mpct_cache_bytes 4096"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mpct_request_latency_seconds histogram"),
             std::string::npos);
   // Pinned le bound of bucket 0: (2^1 - 1) ns = 1e-09 s.
