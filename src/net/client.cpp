@@ -20,8 +20,6 @@ namespace {
 
 using Clock = service::Clock;
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 /// Remaining budget in whole milliseconds for the wire (0 = no
 /// deadline).  A just-expired deadline maps to 1 ms, not 0: the server
 /// must still see *a* deadline and answer DeadlineExceeded.
@@ -60,8 +58,7 @@ Client::Client(ClientOptions options)
 
 void Client::disconnect() {
   socket_.close();
-  in_.clear();
-  in_offset_ = 0;
+  reader_.reset();
   pending_.clear();
   completed_.clear();
   pongs_.clear();
@@ -189,35 +186,29 @@ bool Client::attempt(const std::vector<service::Request>& requests,
         id, requests[index], deadline_ms, agreed_version_,
         trace_id != 0 ? trace_id : id, options_.priority);
     out.insert(out.end(), frame.begin(), frame.end());
+    pending_.insert(id);
     if (metrics) metrics->net_frames_out.add();
   }
 
   std::size_t out_offset = 0;
-  std::vector<std::uint8_t> in;
-  std::size_t in_offset = 0;
-  std::vector<char> answered(responses.size(), 0);
-  std::size_t pending = id_to_index.size();
-
+  // id_to_index keeps only the ids still awaiting an answer.
   const auto finish = [&](bool ok) {
-    unanswered.erase(std::remove_if(unanswered.begin(), unanswered.end(),
-                                    [&](std::size_t i) {
-                                      return answered[i] != 0;
-                                    }),
-                     unanswered.end());
+    unanswered.clear();
+    for (const auto& [id, index] : id_to_index) unanswered.push_back(index);
+    std::sort(unanswered.begin(), unanswered.end());
     return ok;
   };
 
-  while (pending > 0) {
+  while (!id_to_index.empty()) {
     const Clock::time_point now = Clock::now();
     if (deadline.expired(now)) {
       // Answer the stragglers locally and reset the stream: responses
       // for this attempt's ids may still arrive, and the next attempt
       // must not misread them.
       for (const auto& [id, index] : id_to_index) {
-        if (answered[index]) continue;
         responses[index].status = service::Status::deadline_exceeded();
-        answered[index] = 1;
       }
+      id_to_index.clear();
       disconnect();
       return finish(true);
     }
@@ -251,55 +242,16 @@ bool Client::attempt(const std::vector<service::Request>& requests,
     }
 
     if (pfd.revents & (POLLIN | POLLERR | POLLHUP)) {
-      const std::size_t old_size = in.size();
-      in.resize(old_size + kReadChunk);
-      const ssize_t n =
-          ::recv(socket_.fd(), in.data() + old_size, kReadChunk, 0);
-      if (n <= 0) {
-        in.resize(old_size);
-        if (n < 0 &&
-            (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      if (!receive(error)) return finish(false);
+      for (auto it = completed_.begin(); it != completed_.end();) {
+        const auto slot = id_to_index.find(it->first);
+        if (slot == id_to_index.end()) {
+          ++it;
           continue;
         }
-        error = n == 0 ? "connection closed by server"
-                       : std::string("recv: ") + ::strerror(errno);
-        return finish(false);
-      }
-      in.resize(old_size + static_cast<std::size_t>(n));
-      if (metrics) metrics->net_bytes_in.add(static_cast<std::uint64_t>(n));
-
-      while (in_offset < in.size()) {
-        const wire::FrameScan scan =
-            wire::scan_frame(in.data() + in_offset, in.size() - in_offset);
-        if (scan.state == wire::FrameScan::State::NeedMore) break;
-        if (scan.state == wire::FrameScan::State::Bad) {
-          if (metrics) metrics->net_decode_errors.add();
-          error = "bad response stream: " + scan.error.to_string();
-          return finish(false);
-        }
-        if (scan.header.kind != wire::FrameKind::Response) {
-          // Control frames (a stray Pong from a prior ping) are not
-          // answers; skip them.
-          in_offset += scan.frame_size;
-          continue;
-        }
-        auto decoded = wire::decode_response_frame(in.data() + in_offset,
-                                                   scan.frame_size);
-        in_offset += scan.frame_size;
-        if (!decoded.ok()) {
-          if (metrics) metrics->net_decode_errors.add();
-          error = "bad response frame: " + decoded.error.to_string();
-          return finish(false);
-        }
-        if (metrics) metrics->net_frames_in.add();
-        const auto it = id_to_index.find(decoded.value->request_id);
-        // Unknown ids are stale answers from an abandoned attempt on a
-        // connection we since reused; drop them.
-        if (it == id_to_index.end()) continue;
-        if (answered[it->second]) continue;
-        responses[it->second] = std::move(decoded.value->response);
-        answered[it->second] = 1;
-        --pending;
+        responses[slot->second] = std::move(it->second);
+        id_to_index.erase(slot);
+        it = completed_.erase(it);
       }
     }
   }
@@ -351,60 +303,61 @@ bool Client::write_frame(const std::vector<std::uint8_t>& frame,
   return true;
 }
 
-bool Client::drain_frames(std::string& error) {
-  while (in_offset_ < in_.size()) {
-    const wire::FrameScan scan =
-        wire::scan_frame(in_.data() + in_offset_, in_.size() - in_offset_);
-    if (scan.state == wire::FrameScan::State::NeedMore) break;
-    if (scan.state == wire::FrameScan::State::Bad) {
-      if (options_.metrics) options_.metrics->net_decode_errors.add();
-      error = "bad response stream: " + scan.error.to_string();
-      return false;
-    }
-    const std::uint8_t* frame = in_.data() + in_offset_;
-    const std::size_t frame_size = scan.frame_size;
-    in_offset_ += frame_size;
-    switch (scan.header.kind) {
-      case wire::FrameKind::Pong:
-        pongs_.insert(scan.header.request_id);
-        continue;
-      case wire::FrameKind::HelloAck: {
-        auto ack = wire::decode_hello_ack_frame(frame, frame_size);
-        if (!ack.ok()) {
-          if (options_.metrics) options_.metrics->net_decode_errors.add();
-          error = "bad HelloAck frame: " + ack.error.to_string();
-          return false;
+bool Client::receive(std::string& error) {
+  service::MetricsRegistry* metrics = options_.metrics;
+  const auto broken = [&](const char* what, const wire::WireError& cause) {
+    if (metrics) metrics->net_decode_errors.add();
+    error = what + cause.to_string();
+    return false;
+  };
+  const FrameReader::Result result = reader_.read(
+      socket_.fd(),
+      [&](const wire::FrameScan& scan, const std::uint8_t* frame) {
+        switch (scan.header.kind) {
+          case wire::FrameKind::Pong:
+            pongs_.insert(scan.header.request_id);
+            return true;
+          case wire::FrameKind::HelloAck: {
+            auto ack = wire::decode_hello_ack_frame(frame, scan.frame_size);
+            if (!ack.ok()) return broken("bad HelloAck frame: ", ack.error);
+            hello_ack_ = *ack.value;
+            return true;
+          }
+          case wire::FrameKind::Response:
+            break;
+          default:
+            return true;  // Request/Ping/Hello towards a client: ignore
         }
-        hello_ack_ = *ack.value;
-        continue;
-      }
-      case wire::FrameKind::Response:
-        break;
-      default:
-        continue;  // Request/Ping/Hello towards a client: ignore
-    }
-    auto decoded = wire::decode_response_frame(frame, frame_size);
-    if (!decoded.ok()) {
-      if (options_.metrics) options_.metrics->net_decode_errors.add();
-      error = "bad response frame: " + decoded.error.to_string();
-      return false;
-    }
-    if (options_.metrics) options_.metrics->net_frames_in.add();
-    const std::uint64_t id = decoded.value->request_id;
-    // Only tracked ids are kept; cancelled/stale responses are dropped.
-    if (pending_.erase(id) > 0) {
-      completed_.emplace(id, std::move(decoded.value->response));
-    }
+        auto decoded = wire::decode_response_frame(frame, scan.frame_size);
+        if (!decoded.ok()) {
+          return broken("bad response frame: ", decoded.error);
+        }
+        if (metrics) metrics->net_frames_in.add();
+        const std::uint64_t id = decoded.value->request_id;
+        // Untracked (cancelled or stale) responses are dropped.
+        if (pending_.erase(id) > 0) {
+          completed_.emplace(id, std::move(decoded.value->response));
+        }
+        return true;
+      });
+  if (metrics && result.bytes > 0) metrics->net_bytes_in.add(result.bytes);
+  switch (result.status) {
+    case FrameReader::Status::Read:
+    case FrameReader::Status::Again:
+      return true;
+    case FrameReader::Status::Closed:
+      error = "connection closed by server";
+      break;
+    case FrameReader::Status::Failed:
+      error = std::string("recv: ") + ::strerror(errno);
+      break;
+    case FrameReader::Status::BadStream:
+      broken("bad response stream: ", result.error);
+      break;
+    case FrameReader::Status::Stopped:
+      break;  // the frame callback set error
   }
-  if (in_offset_ == in_.size()) {
-    in_.clear();
-    in_offset_ = 0;
-  } else if (in_offset_ > (1u << 20)) {
-    in_.erase(in_.begin(),
-              in_.begin() + static_cast<std::ptrdiff_t>(in_offset_));
-    in_offset_ = 0;
-  }
-  return true;
+  return false;
 }
 
 bool Client::send_request(const service::Request& request,
@@ -456,27 +409,8 @@ int Client::pump(std::chrono::milliseconds wait, std::string& error) {
   }
   if (ready == 0) return 0;
 
-  const std::size_t old_size = in_.size();
-  in_.resize(old_size + kReadChunk);
-  const ssize_t n = ::recv(socket_.fd(), in_.data() + old_size, kReadChunk, 0);
-  if (n <= 0) {
-    in_.resize(old_size);
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                  errno == EINTR)) {
-      return 0;
-    }
-    error = n == 0 ? "connection closed by server"
-                   : std::string("recv: ") + ::strerror(errno);
-    disconnect();
-    return -1;
-  }
-  in_.resize(old_size + static_cast<std::size_t>(n));
-  if (options_.metrics) {
-    options_.metrics->net_bytes_in.add(static_cast<std::uint64_t>(n));
-  }
-
   const std::size_t before = completed_.size();
-  if (!drain_frames(error)) {
+  if (!receive(error)) {
     disconnect();
     return -1;
   }

@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "net/frame_reader.hpp"
 #include "net/socket.hpp"
 #include "service/engine.hpp"
 #include "wire/protocol.hpp"
@@ -75,9 +76,7 @@ struct ClientOptions {
 /// (send_request / pump / take_response / cancel) used by
 /// cluster::ClusterClient to hedge across connections: it needs to park
 /// a request on one server, start the same request elsewhere, and
-/// cancel whichever loses.  Use ONE style per client instance — the
-/// synchronous calls treat primitive-tracked responses as stale and
-/// drop them.
+/// cancel whichever loses.  Use ONE style per client instance.
 ///
 /// Not thread-safe: one Client per thread (they are cheap — one socket).
 class Client {
@@ -150,6 +149,10 @@ class Client {
 
   std::size_t pending_count() const { return pending_.size(); }
 
+  /// Receive-buffer capacity held for a partial response frame; 0
+  /// whenever no frame is half-read.
+  std::size_t buffered_bytes() const { return reader_.held_bytes(); }
+
   bool connected() const { return socket_.valid(); }
   void disconnect();
   const ClientOptions& options() const { return options_; }
@@ -169,18 +172,18 @@ class Client {
   /// connection is reset.
   bool write_frame(const std::vector<std::uint8_t>& frame,
                    service::Deadline deadline, std::string& error);
-  /// Decode every complete frame in in_ into completed_ / pongs_ /
-  /// hello_ack_.  False on a broken stream.
-  bool drain_frames(std::string& error);
+  /// One read from the socket: each complete frame goes into
+  /// completed_ (tracked ids only) / pongs_ / hello_ack_.  False (with
+  /// @p error) when the stream is closed, failed or broken.
+  bool receive(std::string& error);
 
   ClientOptions options_;
   Socket socket_;
   std::uint64_t next_id_ = 1;
   std::uint16_t agreed_version_;
 
-  // Primitive-layer stream state (reset by disconnect()).
-  std::vector<std::uint8_t> in_;
-  std::size_t in_offset_ = 0;
+  // Stream state (reset by disconnect()).
+  FrameReader reader_;
   std::unordered_set<std::uint64_t> pending_;
   std::unordered_map<std::uint64_t, service::QueryResponse> completed_;
   std::unordered_set<std::uint64_t> pongs_;

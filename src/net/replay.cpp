@@ -9,6 +9,7 @@
 #include <set>
 #include <thread>
 
+#include "net/frame_reader.hpp"
 #include "net/socket.hpp"
 #include "wire/protocol.hpp"
 
@@ -60,40 +61,9 @@ ReplayOutcome replay_capture(const CaptureFile& capture,
   // response per id.
   std::set<std::uint64_t> outstanding;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fingerprints;
-  std::vector<std::uint8_t> read_buffer;
+  FrameReader reader;
   std::size_t next_record = 0;
   std::size_t write_offset = 0;  // within the current record's frame
-
-  const auto drain_responses = [&](const std::uint8_t* data,
-                                   std::size_t size) {
-    read_buffer.insert(read_buffer.end(), data, data + size);
-    std::size_t consumed = 0;
-    for (;;) {
-      const wire::FrameScan scan = wire::scan_frame(
-          read_buffer.data() + consumed, read_buffer.size() - consumed);
-      if (scan.state != wire::FrameScan::State::Ready) {
-        if (scan.state == wire::FrameScan::State::Bad) {
-          outcome.error = "replay: response stream broken: " +
-                          scan.error.message;
-        }
-        break;
-      }
-      if (scan.header.kind == wire::FrameKind::Response) {
-        const std::uint64_t id = scan.header.request_id;
-        const std::uint64_t print = normalized_response_fingerprint(
-            read_buffer.data() + consumed, scan.frame_size);
-        fingerprints.emplace_back(id, print);
-        ++outcome.answered;
-        outstanding.erase(id);
-      }
-      consumed += scan.frame_size;
-    }
-    if (consumed > 0) {
-      read_buffer.erase(read_buffer.begin(),
-                        read_buffer.begin() +
-                            static_cast<std::ptrdiff_t>(consumed));
-    }
-  };
 
   auto last_progress = std::chrono::steady_clock::now();
   while (outcome.error.empty() &&
@@ -126,18 +96,29 @@ ReplayOutcome replay_capture(const CaptureFile& capture,
     }
 
     if (pfd.revents & POLLIN) {
-      std::uint8_t chunk[16384];
-      const ssize_t got = ::read(socket.fd(), chunk, sizeof(chunk));
-      if (got > 0) {
-        drain_responses(chunk, static_cast<std::size_t>(got));
+      const FrameReader::Result got = reader.read(
+          socket.fd(),
+          [&](const wire::FrameScan& scan, const std::uint8_t* frame) {
+            if (scan.header.kind == wire::FrameKind::Response) {
+              const std::uint64_t id = scan.header.request_id;
+              fingerprints.emplace_back(
+                  id, normalized_response_fingerprint(frame, scan.frame_size));
+              ++outcome.answered;
+              outstanding.erase(id);
+            }
+            return true;
+          });
+      if (got.status == FrameReader::Status::Read) {
         last_progress = std::chrono::steady_clock::now();
-      } else if (got == 0) {
+      } else if (got.status == FrameReader::Status::Closed) {
         outcome.error = "replay: server closed the connection with " +
                         std::to_string(outstanding.size()) +
                         " responses outstanding";
         break;
-      } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                 errno != EINTR) {
+      } else if (got.status == FrameReader::Status::BadStream) {
+        outcome.error = "replay: response stream broken: " + got.error.message;
+        break;
+      } else if (got.status != FrameReader::Status::Again) {
         outcome.error = "replay: read failed";
         break;
       }

@@ -17,10 +17,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Chunk size for recv(); frames larger than this just take several
-/// reads to accumulate.
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 /// Poll granularity: upper bound on how stale the idle sweep and the
 /// drain-deadline check can be.  Completions interrupt poll via the
 /// self-pipe, so this is not a latency floor.
@@ -99,8 +95,6 @@ void Server::stop() {
       fd = -1;
     }
   }
-  connections_.clear();
-  connection_count_.store(0, std::memory_order_release);
   completions_.clear();
   capture_.close();
 }
@@ -191,14 +185,7 @@ void Server::loop() {
   // swallowed by the final drain in stop() — the engine is drained there
   // before the Server dies, so no callback outlives it.
   drain_completions();
-  for (auto& [id, conn] : connections_) {
-    (void)id;
-    conn.socket.close();
-    metrics_.net_connections_closed.add();
-    metrics_.net_active_connections.decrement();
-  }
-  connections_.clear();
-  connection_count_.store(0, std::memory_order_release);
+  while (!connections_.empty()) close_connection(connections_.begin()->first);
   listener_.close();
 }
 
@@ -222,61 +209,35 @@ void Server::accept_connections() {
 
 bool Server::handle_readable(std::uint64_t conn_id, Connection& conn) {
   for (;;) {
-    const std::size_t old_size = conn.read_buffer.size();
-    conn.read_buffer.resize(old_size + kReadChunk);
-    const ssize_t n =
-        ::recv(conn.socket.fd(), conn.read_buffer.data() + old_size,
-               kReadChunk, 0);
-    if (n > 0) {
-      conn.read_buffer.resize(old_size + static_cast<std::size_t>(n));
+    const FrameReader::Result result = conn.reader.read(
+        conn.socket.fd(),
+        [&](const wire::FrameScan& scan, const std::uint8_t* frame) {
+          metrics_.net_frames_in.add();
+          return dispatch_request(conn_id, conn, scan, frame);
+        });
+    if (result.bytes > 0) {
       conn.last_activity = Clock::now();
-      metrics_.net_bytes_in.add(static_cast<std::uint64_t>(n));
-      if (!consume_frames(conn_id, conn)) return false;
-      // consume_frames may have tripped the write watermark: stop
-      // reading until the client drains its responses.
-      if (conn.paused) return true;
-      if (static_cast<std::size_t>(n) < kReadChunk) return true;
-      continue;
+      metrics_.net_bytes_in.add(result.bytes);
     }
-    conn.read_buffer.resize(old_size);
-    if (n == 0) return false;  // orderly EOF
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return true;
-    return false;
-  }
-}
-
-bool Server::consume_frames(std::uint64_t conn_id, Connection& conn) {
-  bool ok = true;
-  std::size_t offset = 0;
-  while (offset < conn.read_buffer.size()) {
-    const wire::FrameScan scan = wire::scan_frame(
-        conn.read_buffer.data() + offset, conn.read_buffer.size() - offset);
-    if (scan.state == wire::FrameScan::State::NeedMore) break;
-    if (scan.state == wire::FrameScan::State::Bad) {
-      // Framing is gone: nothing downstream of a bad header can be
-      // trusted, so the stream (not just the frame) is unrecoverable.
+    // A bad header means framing is gone: nothing after it can be
+    // trusted, so the stream (not just the frame) is unrecoverable.
+    if (result.status == FrameReader::Status::BadStream) {
       metrics_.net_decode_errors.add();
-      ok = false;
-      break;
     }
-    metrics_.net_frames_in.add();
-    if (!dispatch_request(conn_id, conn, conn.read_buffer.data() + offset,
-                          scan.frame_size)) {
-      ok = false;
-      break;
-    }
-    offset += scan.frame_size;
+    if (result.status == FrameReader::Status::Again) break;
+    if (result.status != FrameReader::Status::Read) return false;
+    // A dispatch may have tripped the write watermark: stop reading
+    // until the client drains its responses.
+    if (conn.paused || result.bytes < FrameReader::kReadChunk) break;
   }
-  conn.read_buffer.erase(conn.read_buffer.begin(),
-                         conn.read_buffer.begin() +
-                             static_cast<std::ptrdiff_t>(offset));
-  return ok;
+  track_buffers(conn);
+  return true;
 }
 
 bool Server::dispatch_request(std::uint64_t conn_id, Connection& conn,
-                              const std::uint8_t* frame,
-                              std::size_t frame_size) {
-  const wire::FrameScan scan = wire::scan_frame(frame, frame_size);
+                              const wire::FrameScan& scan,
+                              const std::uint8_t* frame) {
+  const std::size_t frame_size = scan.frame_size;
   // Request frames install their wire trace id as the thread's trace
   // context before the dispatch span opens, so this span — and every
   // span the handler records inline — is stamped with it.
@@ -440,8 +401,12 @@ void Server::drain_completions() {
 }
 
 bool Server::queue_write(Connection& conn, std::vector<std::uint8_t> bytes) {
-  conn.write_buffer.insert(conn.write_buffer.end(), bytes.begin(),
-                           bytes.end());
+  if (conn.write_buffer.empty()) {
+    conn.write_buffer = std::move(bytes);  // nothing pending: no copy
+  } else {
+    conn.write_buffer.insert(conn.write_buffer.end(), bytes.begin(),
+                             bytes.end());
+  }
   metrics_.net_frames_out.add();
   const std::size_t pending = conn.write_buffer.size() - conn.write_offset;
   if (!conn.paused && pending > options_.write_high_watermark) {
@@ -470,7 +435,7 @@ bool Server::handle_writable(Connection& conn) {
     return false;
   }
   if (conn.write_offset == conn.write_buffer.size()) {
-    conn.write_buffer.clear();
+    std::vector<std::uint8_t>().swap(conn.write_buffer);
     conn.write_offset = 0;
   } else if (conn.write_offset > (1u << 20)) {
     // Compact occasionally so a long-lived backlog does not pin the
@@ -484,7 +449,16 @@ bool Server::handle_writable(Connection& conn) {
   if (conn.paused && pending < options_.write_high_watermark / 2) {
     conn.paused = false;
   }
+  track_buffers(conn);
   return true;
+}
+
+void Server::track_buffers(Connection& conn) {
+  const std::size_t held =
+      conn.reader.held_bytes() + conn.write_buffer.capacity();
+  metrics_.net_buffered_bytes.add(static_cast<std::int64_t>(held) -
+                                  static_cast<std::int64_t>(conn.buffered));
+  conn.buffered = held;
 }
 
 void Server::close_connection(std::uint64_t conn_id) {
@@ -493,6 +467,8 @@ void Server::close_connection(std::uint64_t conn_id) {
   // In-flight responses for this connection will be dropped when their
   // completions arrive; in_flight_total_ is decremented there, so the
   // drain accounting stays exact.
+  metrics_.net_buffered_bytes.add(
+      -static_cast<std::int64_t>(it->second.buffered));
   connections_.erase(it);
   connection_count_.store(connections_.size(), std::memory_order_release);
   metrics_.net_connections_closed.add();

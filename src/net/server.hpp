@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "net/capture.hpp"
+#include "net/frame_reader.hpp"
 #include "net/socket.hpp"
 #include "service/engine.hpp"
 #include "wire/protocol.hpp"
@@ -57,7 +58,7 @@ struct ServerOptions {
 /// Poll-based nonblocking TCP front end for a service::QueryEngine.
 ///
 /// One event-loop thread owns every socket: it accepts connections,
-/// splits the byte stream into frames (wire::scan_frame), decodes
+/// splits the byte stream into frames (net::FrameReader), decodes
 /// requests and hands them to the engine via submit_async().  Engine
 /// callbacks run on worker threads: they encode the response frame there
 /// (keeping serialisation off the loop) and enqueue the bytes to a
@@ -139,11 +140,13 @@ class Server {
  private:
   struct Connection {
     Socket socket;
-    std::vector<std::uint8_t> read_buffer;
+    FrameReader reader;
     /// Pending response bytes; write_offset marks how much of the front
-    /// has already been sent (compacted once fully drained).
+    /// has already been sent.  Released once fully drained.
     std::vector<std::uint8_t> write_buffer;
     std::size_t write_offset = 0;
+    /// Buffer capacity last added to metrics' net_buffered_bytes.
+    std::size_t buffered = 0;
     /// Requests handed to the engine whose responses have not yet been
     /// appended to write_buffer.
     std::size_t in_flight = 0;
@@ -160,19 +163,19 @@ class Server {
   // into an erased Connection.
   bool handle_readable(std::uint64_t conn_id, Connection& conn);
   bool handle_writable(Connection& conn);
-  /// Split conn.read_buffer into frames and dispatch them.  Returns
-  /// false when the stream is broken and the connection must close.
-  bool consume_frames(std::uint64_t conn_id, Connection& conn);
   bool dispatch_request(std::uint64_t conn_id, Connection& conn,
-                        const std::uint8_t* frame, std::size_t frame_size);
-  /// Append encoded response bytes to a connection's write buffer,
-  /// update the watermark, and opportunistically flush (loop thread
-  /// only).
+                        const wire::FrameScan& scan,
+                        const std::uint8_t* frame);
+  /// Move (or append) encoded response bytes into a connection's write
+  /// buffer, update the watermark, and opportunistically flush (loop
+  /// thread only).
   bool queue_write(Connection& conn, std::vector<std::uint8_t> bytes);
   /// Thread-safe completion entry point used by engine callbacks.
   void enqueue_completion(std::uint64_t conn_id,
                           std::vector<std::uint8_t> bytes);
   void drain_completions();
+  /// Bring net_buffered_bytes up to date with @p conn's buffers.
+  void track_buffers(Connection& conn);
   void close_connection(std::uint64_t conn_id);
   void sweep_idle(std::chrono::steady_clock::time_point now);
   void wake();

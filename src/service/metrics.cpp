@@ -202,6 +202,8 @@ std::string MetricsRegistry::to_table(const CacheStats& cache) const {
       {"connections closed", std::to_string(net_connections_closed.value())});
   table.add_row(
       {"active connections", std::to_string(net_active_connections.value())});
+  table.add_row(
+      {"buffered bytes", std::to_string(net_buffered_bytes.value())});
   table.add_row({"client retries", std::to_string(net_retries.value())});
   table.add_row(
       {"client requests sent", std::to_string(net_requests_sent.value())});
@@ -298,6 +300,8 @@ std::string MetricsRegistry::to_csv(const CacheStats& cache) const {
                std::to_string(net_connections_closed.value())});
   csv.add_row({"net_active_connections",
                std::to_string(net_active_connections.value())});
+  csv.add_row(
+      {"net_buffered_bytes", std::to_string(net_buffered_bytes.value())});
   csv.add_row({"net_retries", std::to_string(net_retries.value())});
   csv.add_row(
       {"net_requests_sent", std::to_string(net_requests_sent.value())});
@@ -420,6 +424,11 @@ std::string MetricsRegistry::to_prometheus(const CacheStats& cache,
            "Connections currently open on the server.");
   w.sample("mpct_net_active_connections", {},
            static_cast<double>(net_active_connections.value()));
+  w.header("mpct_net_buffered_bytes", PromWriter::Type::Gauge,
+           "Bytes held by server connections for partial request frames "
+           "and unsent responses.");
+  w.sample("mpct_net_buffered_bytes", {},
+           static_cast<double>(net_buffered_bytes.value()));
   w.header("mpct_net_retries_total", PromWriter::Type::Counter,
            "Client reconnect-and-resend attempts.");
   w.sample("mpct_net_retries_total", {}, net_retries.value());

@@ -32,6 +32,9 @@ class Gauge {
  public:
   void increment() { value_.fetch_add(1, std::memory_order_relaxed); }
   void decrement() { value_.fetch_sub(1, std::memory_order_relaxed); }
+  void add(std::int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
   std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
@@ -181,6 +184,9 @@ class MetricsRegistry {
   Counter net_connections_closed;
   Counter net_retries;  ///< client reconnect-and-resend attempts
   Gauge net_active_connections;
+  /// Capacity a Server's connections hold in partial request frames
+  /// and unsent response bytes; 0 whenever neither is pending.
+  Gauge net_buffered_bytes;
 
   /// Logical client requests: each request a caller hands to
   /// net::Client / cluster::ClusterClient counts exactly once here, no

@@ -4,7 +4,10 @@
 /// by request id, deadlines travel on the wire and expire as typed
 /// responses, backpressure surfaces as QueueFull frames, malformed
 /// payloads as ProtocolError frames, and graceful shutdown drains
-/// mid-traffic.  The multi-threaded cases run under TSan in CI.
+/// mid-traffic.  Raw-socket cases pin the receive path (frames split
+/// across sends, frames larger than the read chunk), the write
+/// watermark, and that connections hold buffers only while a frame is
+/// in flight.  The multi-threaded cases run under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -14,9 +17,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -116,40 +121,132 @@ void expect_payload_parity(const QueryResponse& wire,
   }
 }
 
-/// Raw frame exchange for tests that need byte-level control: write
-/// @p out, then read until one complete frame arrives (or ~2 s pass).
-/// Empty result = connection closed / timed out.
-std::vector<std::uint8_t> raw_exchange(std::uint16_t port,
-                                       const std::vector<std::uint8_t>& out,
-                                       bool expect_reply = true) {
-  std::string error;
-  net::Socket sock = net::connect_tcp("127.0.0.1", port, 2000, error);
-  if (!sock.valid()) return {};
-  std::size_t sent = 0;
-  std::vector<std::uint8_t> in;
-  for (int rounds = 0; rounds < 200; ++rounds) {
-    pollfd pfd{sock.fd(), POLLIN, 0};
-    if (sent < out.size()) pfd.events |= POLLOUT;
-    ::poll(&pfd, 1, 50);
-    if ((pfd.revents & POLLOUT) && sent < out.size()) {
-      const ssize_t n = ::send(sock.fd(), out.data() + sent,
-                               out.size() - sent, MSG_NOSIGNAL);
+/// The largest grid the benchmark sends: 64 n values x 11 LUT budgets x
+/// 2 objectives = 1408 cells, whose response frame is larger than one
+/// read chunk.  @p n0 moves the grid so distinct calls get distinct keys.
+Request large_sweep_request(std::int64_t n0 = 2) {
+  service::SweepRequest req;
+  req.grid.base.min_flexibility = 1;
+  for (std::int64_t i = 0; i < 64; ++i) req.grid.n_values.push_back(n0 + 2 * i);
+  for (int i = 0; i < 11; ++i) req.grid.lut_budgets.push_back(64 << i);
+  req.grid.objectives = {explore::Requirements::Objective::MinConfigBits,
+                         explore::Requirements::Objective::MinArea};
+  return req;
+}
+
+/// Poll @p done every millisecond for up to @p limit.
+template <typename Done>
+bool wait_until(Done done,
+                std::chrono::milliseconds limit = std::chrono::seconds(5)) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// A raw client socket for tests that decide exactly how request bytes
+/// reach the server and when answers are read.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port) {
+    std::string error;
+    sock_ = net::connect_tcp("127.0.0.1", port, 2000, error);
+  }
+  bool valid() const { return sock_.valid(); }
+
+  /// Write all of @p size bytes, as few send() calls as the socket allows.
+  bool send_all(const std::uint8_t* data, std::size_t size) {
+    std::size_t sent = 0;
+    while (sent < size) {
+      pollfd pfd{sock_.fd(), POLLOUT, 0};
+      if (::poll(&pfd, 1, 2000) <= 0) return false;
+      const ssize_t n =
+          ::send(sock_.fd(), data + sent, size - sent, MSG_NOSIGNAL);
+      if (n < 0 && errno != EAGAIN && errno != EINTR) return false;
       if (n > 0) sent += static_cast<std::size_t>(n);
     }
-    if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(sock.fd(), buf, sizeof(buf), 0);
-      if (n <= 0) return {};  // closed
-      in.insert(in.end(), buf, buf + n);
-      const wire::FrameScan scan = wire::scan_frame(in.data(), in.size());
+    return true;
+  }
+  bool send_all(const std::vector<std::uint8_t>& bytes) {
+    return send_all(bytes.data(), bytes.size());
+  }
+
+  /// Read until @p count more complete frames arrived; stops early when
+  /// nothing arrives for 5 s or the server closes the connection.
+  std::vector<std::vector<std::uint8_t>> read_frames(std::size_t count) {
+    std::vector<std::vector<std::uint8_t>> frames;
+    while (frames.size() < count) {
+      const wire::FrameScan scan = wire::scan_frame(in_.data(), in_.size());
       if (scan.state == wire::FrameScan::State::Ready) {
-        in.resize(scan.frame_size);
-        return in;
+        frames.emplace_back(in_.begin(), in_.begin() + scan.frame_size);
+        in_.erase(in_.begin(), in_.begin() + scan.frame_size);
+        continue;
+      }
+      if (scan.state == wire::FrameScan::State::Bad) break;
+      pollfd pfd{sock_.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, 5000) <= 0) break;
+      std::uint8_t buf[16384];
+      const ssize_t n = ::recv(sock_.fd(), buf, sizeof(buf), 0);
+      if (n > 0) {
+        in_.insert(in_.end(), buf, buf + n);
+      } else if (n == 0 || (errno != EAGAIN && errno != EINTR)) {
+        break;
       }
     }
-    if (!expect_reply && sent == out.size()) return in;
+    return frames;
   }
-  return {};
+
+  /// True when no byte arrives within @p wait.
+  bool quiet_for(std::chrono::milliseconds wait) {
+    pollfd pfd{sock_.fd(), POLLIN, 0};
+    return in_.empty() &&
+           ::poll(&pfd, 1, static_cast<int>(wait.count())) == 0;
+  }
+
+ private:
+  net::Socket sock_;
+  std::vector<std::uint8_t> in_;
+};
+
+/// Raw frame exchange for tests that need byte-level control: write
+/// @p out, then read one complete frame.  Empty result = connection
+/// closed / timed out.
+std::vector<std::uint8_t> raw_exchange(std::uint16_t port,
+                                       const std::vector<std::uint8_t>& out) {
+  RawPeer peer(port);
+  if (!peer.valid() || !peer.send_all(out)) return {};
+  auto frames = peer.read_frames(1);
+  if (frames.empty()) return {};
+  return std::move(frames.front());
+}
+
+/// Decode every frame as a response and check it answers the request
+/// with its id in @p requests exactly as inline execution does, each id
+/// exactly once.
+void expect_answers_match_inline(
+    const std::vector<std::vector<std::uint8_t>>& frames,
+    const std::vector<std::pair<std::uint64_t, Request>>& requests) {
+  service::EngineOptions ref_options;
+  ref_options.worker_threads = 0;
+  service::QueryEngine reference(ref_options);
+  ASSERT_EQ(frames.size(), requests.size());
+  std::set<std::uint64_t> answered;
+  for (const auto& frame : frames) {
+    const auto decoded =
+        wire::decode_response_frame(frame.data(), frame.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.error.to_string();
+    const std::uint64_t id = decoded.value->request_id;
+    EXPECT_TRUE(answered.insert(id).second) << "id " << id << " twice";
+    const auto it = std::find_if(requests.begin(), requests.end(),
+                                 [&](const auto& r) { return r.first == id; });
+    ASSERT_NE(it, requests.end()) << "unknown id " << id;
+    ASSERT_TRUE(decoded.value->response.ok())
+        << decoded.value->response.status.to_string();
+    expect_payload_parity(decoded.value->response,
+                          reference.execute(it->second));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -640,6 +737,264 @@ TEST(NetClient, DeadlineAlreadyExpiredShortCircuitsLocally) {
   EXPECT_EQ(response.status.code, StatusCode::DeadlineExceeded);
   // Nothing was sent: the server saw no frames from this client.
   EXPECT_EQ(engine.metrics().net_frames_in.value(), 0u);
+}
+
+// --- Receive paths and held buffers ---------------------------------------
+
+TEST(NetFrameReader, HoldsBytesOnlyWhileAFrameIsPartial) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket reader_end(fds[0]);
+  net::Socket writer_end(fds[1]);
+  ASSERT_TRUE(net::set_nonblocking(reader_end.fd()));
+  net::FrameReader reader;
+  std::vector<std::vector<std::uint8_t>> delivered;
+  const auto read_once = [&] {
+    return reader.read(reader_end.fd(), [&](const wire::FrameScan& scan,
+                                            const std::uint8_t* frame) {
+      delivered.emplace_back(frame, frame + scan.frame_size);
+      return true;
+    });
+  };
+
+  EXPECT_EQ(read_once().status, net::FrameReader::Status::Again);
+  const auto frame = wire::encode_request_frame(9, cost_request());
+  const std::size_t half = frame.size() / 2;
+  ASSERT_EQ(::send(writer_end.fd(), frame.data(), half, 0),
+            static_cast<ssize_t>(half));
+  const auto first = read_once();
+  EXPECT_EQ(first.status, net::FrameReader::Status::Read);
+  EXPECT_EQ(first.bytes, half);
+  EXPECT_TRUE(delivered.empty());
+  EXPECT_GE(reader.held_bytes(), half);
+
+  // The rest of the frame plus a whole second one: both are delivered,
+  // in order, and the tail storage is released.
+  std::vector<std::uint8_t> rest(frame.begin() + half, frame.end());
+  rest.insert(rest.end(), frame.begin(), frame.end());
+  ASSERT_EQ(::send(writer_end.fd(), rest.data(), rest.size(), 0),
+            static_cast<ssize_t>(rest.size()));
+  EXPECT_EQ(read_once().status, net::FrameReader::Status::Read);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0], frame);
+  EXPECT_EQ(delivered[1], frame);
+  EXPECT_EQ(reader.held_bytes(), 0u);
+
+  // reset() drops a held tail; a broken header ends the stream.
+  ASSERT_EQ(::send(writer_end.fd(), frame.data(), half, 0),
+            static_cast<ssize_t>(half));
+  EXPECT_EQ(read_once().status, net::FrameReader::Status::Read);
+  EXPECT_GT(reader.held_bytes(), 0u);
+  reader.reset();
+  EXPECT_EQ(reader.held_bytes(), 0u);
+  const std::vector<std::uint8_t> junk(64, 'J');
+  ASSERT_EQ(::send(writer_end.fd(), junk.data(), junk.size(), 0), 64);
+  EXPECT_EQ(read_once().status, net::FrameReader::Status::BadStream);
+  EXPECT_EQ(reader.held_bytes(), 0u);
+
+  writer_end.close();
+  EXPECT_EQ(read_once().status, net::FrameReader::Status::Closed);
+}
+
+TEST(NetReceive, RequestSentOneBytePerSendIsAnsweredOnce) {
+  service::EngineOptions options;
+  options.worker_threads = 1;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.valid());
+  const Request request = classify_adl_request();
+  const auto frame = wire::encode_request_frame(11, request);
+  for (std::uint8_t byte : frame) {
+    ASSERT_TRUE(peer.send_all(&byte, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  expect_answers_match_inline(peer.read_frames(1), {{11, request}});
+  EXPECT_TRUE(peer.quiet_for(std::chrono::milliseconds(100)));
+  EXPECT_EQ(engine.metrics().net_frames_in.value(), 1u);
+}
+
+TEST(NetReceive, WholeFramesAndAHalfInOneSendThenTheRest) {
+  service::EngineOptions options;
+  options.worker_threads = 2;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+  const service::MetricsRegistry& metrics = engine.metrics();
+
+  const std::vector<std::pair<std::uint64_t, Request>> requests = {
+      {1, classify_spec_request()},
+      {2, cost_request()},
+      {3, recommend_request()},
+      {4, sweep_request()}};
+  std::vector<std::uint8_t> head;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto frame =
+        wire::encode_request_frame(requests[i].first, requests[i].second);
+    head.insert(head.end(), frame.begin(), frame.end());
+  }
+  const auto fourth =
+      wire::encode_request_frame(requests[3].first, requests[3].second);
+  const std::size_t half = fourth.size() / 2;
+  head.insert(head.end(), fourth.begin(), fourth.begin() + half);
+
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.valid());
+  ASSERT_TRUE(peer.send_all(head));
+  auto frames = peer.read_frames(3);
+  ASSERT_EQ(frames.size(), 3u);
+  // The three answers went out after the read that left the half frame
+  // behind, so the server now holds exactly that partial request.
+  EXPECT_GE(metrics.net_buffered_bytes.value(),
+            static_cast<std::int64_t>(half));
+  EXPECT_TRUE(peer.quiet_for(std::chrono::milliseconds(50)));
+
+  ASSERT_TRUE(peer.send_all(fourth.data() + half, fourth.size() - half));
+  auto last = peer.read_frames(1);
+  frames.insert(frames.end(), last.begin(), last.end());
+  expect_answers_match_inline(frames, requests);
+  EXPECT_TRUE(peer.quiet_for(std::chrono::milliseconds(100)));
+  EXPECT_TRUE(
+      wait_until([&] { return metrics.net_buffered_bytes.value() == 0; }));
+}
+
+TEST(NetReceive, RequestLargerThanTheReadChunkIsAnswered) {
+  service::EngineOptions options;
+  options.worker_threads = 1;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  // An ADL comment pads the request past one read chunk.
+  const Request request = service::ClassifyRequest::of_adl(
+      arch::to_adl(*arch::find_architecture("MorphoSys")) + "\n# " +
+      std::string(3 * net::FrameReader::kReadChunk / 2, 'x') + "\n");
+  const auto frame = wire::encode_request_frame(21, request);
+  ASSERT_GT(frame.size(), net::FrameReader::kReadChunk);
+
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.valid());
+  ASSERT_TRUE(peer.send_all(frame));
+  expect_answers_match_inline(peer.read_frames(1), {{21, request}});
+  EXPECT_TRUE(peer.quiet_for(std::chrono::milliseconds(100)));
+  EXPECT_TRUE(wait_until(
+      [&] { return engine.metrics().net_buffered_bytes.value() == 0; }));
+}
+
+TEST(NetClient, ResponseLargerThanTheReadChunkArrivesThroughPump) {
+  service::EngineOptions options;
+  options.worker_threads = 2;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  service::EngineOptions ref_options;
+  ref_options.worker_threads = 0;
+  service::QueryEngine reference(ref_options);
+  const Request request = large_sweep_request();
+  const QueryResponse inline_response = reference.execute(request);
+  ASSERT_TRUE(inline_response.ok());
+  ASSERT_GT(wire::encode_response_frame(1, inline_response).size(),
+            net::FrameReader::kReadChunk);
+
+  // The primitive layer, as cluster::ClusterClient drives it.
+  net::Client client(client_options(server.port()));
+  std::uint64_t id = 0;
+  std::string error;
+  ASSERT_TRUE(client.send_request(request, service::Deadline::never(), 0, id,
+                                  error))
+      << error;
+  QueryResponse response;
+  ASSERT_TRUE(wait_until([&] {
+    EXPECT_GE(client.pump(std::chrono::milliseconds(10), error), 0) << error;
+    return client.take_response(id, response);
+  }));
+  ASSERT_TRUE(response.ok()) << response.status.to_string();
+  expect_payload_parity(response, inline_response);
+  EXPECT_EQ(client.buffered_bytes(), 0u);
+  EXPECT_EQ(client.pending_count(), 0u);
+}
+
+TEST(NetServer, WriteWatermarkPausesReadingUntilTheClientDrains) {
+  service::EngineOptions options;
+  options.worker_threads = 2;
+  service::QueryEngine engine(options);
+  net::ServerOptions server_options;
+  server_options.write_high_watermark = 256 * 1024;
+  net::Server server(engine, server_options);
+  ASSERT_TRUE(server.start()) << server.error();
+  const service::MetricsRegistry& metrics = engine.metrics();
+
+  // Pipeline large-answer requests one frame at a time without reading.
+  // Once the kernel's socket buffers are full, the answers pile up in
+  // the server's write buffer until it passes the watermark, and the
+  // server stops taking requests: a sent frame is no longer submitted.
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.valid());
+  const Request request = large_sweep_request();
+  std::vector<std::pair<std::uint64_t, Request>> sent;
+  bool stalled = false;
+  while (!stalled && sent.size() < 400) {
+    const std::uint64_t id = sent.size() + 1;
+    ASSERT_TRUE(peer.send_all(wire::encode_request_frame(id, request)));
+    sent.emplace_back(id, request);
+    stalled = !wait_until([&] { return metrics.submitted.value() == id; },
+                          std::chrono::milliseconds(500));
+  }
+  ASSERT_TRUE(stalled) << "the server never stopped reading";
+  for (int extra = 0; extra < 4; ++extra) {
+    const std::uint64_t id = sent.size() + 1;
+    ASSERT_TRUE(peer.send_all(wire::encode_request_frame(id, request)));
+    sent.emplace_back(id, request);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t plateau = metrics.submitted.value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(metrics.submitted.value(), plateau);
+  EXPECT_LT(plateau, sent.size());
+  EXPECT_GE(metrics.net_buffered_bytes.value(),
+            static_cast<std::int64_t>(server_options.write_high_watermark));
+
+  // Reading drains the backlog, the server resumes, and every request
+  // is answered exactly once.
+  expect_answers_match_inline(peer.read_frames(sent.size()), sent);
+  EXPECT_TRUE(peer.quiet_for(std::chrono::milliseconds(100)));
+  EXPECT_EQ(metrics.submitted.value(), sent.size());
+  EXPECT_TRUE(
+      wait_until([&] { return metrics.net_buffered_bytes.value() == 0; }));
+}
+
+TEST(NetServer, BufferedBytesReturnToZeroAfterAPipelinedBurst) {
+  service::EngineOptions options;
+  options.worker_threads = 2;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  std::vector<Request> batch;
+  for (std::int64_t i = 0; i < 8; ++i) {
+    batch.push_back(large_sweep_request(2 + 1000 * i));
+  }
+  net::Client client(client_options(server.port()));
+  const auto responses = client.call_batch(batch);
+  service::EngineOptions ref_options;
+  ref_options.worker_threads = 0;
+  service::QueryEngine reference(ref_options);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status.to_string();
+    expect_payload_parity(responses[i], reference.execute(batch[i]));
+  }
+
+  // No partial frame and no unsent byte anywhere, connection still open:
+  // neither side holds buffer memory.
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(client.buffered_bytes(), 0u);
+  EXPECT_TRUE(wait_until(
+      [&] { return engine.metrics().net_buffered_bytes.value() == 0; }));
+  EXPECT_EQ(server.connection_count(), 1u);
 }
 
 }  // namespace

@@ -407,9 +407,11 @@ TEST(Metrics, RendersTableAndCsv) {
   const std::string table = engine.metrics().to_table(engine.cache_stats());
   EXPECT_NE(table.find("cache"), std::string::npos);
   EXPECT_NE(table.find("latency: classify"), std::string::npos);
+  EXPECT_NE(table.find("buffered bytes"), std::string::npos);
 
   const std::string csv = engine.metrics().to_csv(engine.cache_stats());
   EXPECT_NE(csv.find("cache_hits,1"), std::string::npos);
+  EXPECT_NE(csv.find("net_buffered_bytes,0"), std::string::npos);
   EXPECT_NE(csv.find("submitted,2"), std::string::npos);
   EXPECT_NE(csv.find("cache_bytes," +
                      std::to_string(engine.cache_stats().bytes)),

@@ -425,6 +425,8 @@ TEST_F(TraceTest, RegistryPrometheusExpositionIsWellFormed) {
   metrics.completed.add(3);
   metrics.failed.add(1);
   metrics.queue_depth.set(2);
+  metrics.net_buffered_bytes.add(70000);
+  metrics.net_buffered_bytes.add(-4464);
   metrics.batch_sizes.record(2);
   metrics.batch_sizes.record(1);
   // 1 ns and 3 ns land in buckets 0 and 1; 5 us in bucket 12.
@@ -449,6 +451,9 @@ TEST_F(TraceTest, RegistryPrometheusExpositionIsWellFormed) {
   EXPECT_NE(text.find("mpct_cache_entries 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mpct_cache_bytes gauge"), std::string::npos);
   EXPECT_NE(text.find("mpct_cache_bytes 4096"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE mpct_net_buffered_bytes gauge"),
+            std::string::npos);
+  EXPECT_NE(text.find("mpct_net_buffered_bytes 65536"), std::string::npos);
   EXPECT_NE(text.find("# TYPE mpct_request_latency_seconds histogram"),
             std::string::npos);
   // Pinned le bound of bucket 0: (2^1 - 1) ns = 1e-09 s.
