@@ -38,9 +38,12 @@ df::Graph make_chain(int length) {
 df::Graph make_wide(int chains) {
   df::Graph g;
   for (int i = 0; i < chains; ++i) {
-    const df::NodeId a = g.add_input("a" + std::to_string(i));
-    const df::NodeId b = g.add_input("b" + std::to_string(i));
-    g.add_output("o" + std::to_string(i), g.add_op(df::Op::Mul, a, b));
+    const df::NodeId a = g.add_input(
+        std::string("a").append(std::to_string(i)));
+    const df::NodeId b = g.add_input(
+        std::string("b").append(std::to_string(i)));
+    g.add_output(std::string("o").append(std::to_string(i)),
+                 g.add_op(df::Op::Mul, a, b));
   }
   return g;
 }
@@ -54,8 +57,8 @@ void print_fig3() {
   const df::Graph wide = make_wide(8);
   std::vector<std::pair<std::string, Word>> wide_inputs;
   for (int i = 0; i < 8; ++i) {
-    wide_inputs.emplace_back("a" + std::to_string(i), i);
-    wide_inputs.emplace_back("b" + std::to_string(i), 3);
+    wide_inputs.emplace_back(std::string("a").append(std::to_string(i)), i);
+    wide_inputs.emplace_back(std::string("b").append(std::to_string(i)), 3);
   }
   std::cout << "  sub-type   connected-chain   independent-chains\n";
   for (int subtype = 1; subtype <= 4; ++subtype) {
@@ -137,8 +140,10 @@ void print_fig6() {
   std::vector<std::pair<std::string, bool>> inputs;
   const unsigned a = 11, b = 5;
   for (int i = 0; i < 4; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), (a >> i) & 1u);
-    inputs.emplace_back("b" + std::to_string(i), (b >> i) & 1u);
+    inputs.emplace_back(
+        std::string("a").append(std::to_string(i)), (a >> i) & 1u);
+    inputs.emplace_back(
+        std::string("b").append(std::to_string(i)), (b >> i) & 1u);
   }
   inputs.emplace_back("cin", false);
   const auto sum_bits = fabric.step(
@@ -146,7 +151,8 @@ void print_fig6() {
   unsigned sum = 0;
   for (int i = 0; i < 4; ++i) {
     if (sum_bits[static_cast<std::size_t>(
-            adder_map.output_index.at("s" + std::to_string(i)))]) {
+            adder_map.output_index.at(
+                std::string("s").append(std::to_string(i))))]) {
       sum |= 1u << i;
     }
   }
@@ -166,7 +172,8 @@ void print_fig6() {
     unsigned value = 0;
     for (int bit = 0; bit < 3; ++bit) {
       if (out[static_cast<std::size_t>(
-              counter_map.output_index.at("q" + std::to_string(bit)))]) {
+              counter_map.output_index.at(
+                  std::string("q").append(std::to_string(bit))))]) {
         value |= 1u << bit;
       }
     }

@@ -129,7 +129,7 @@ void bm_dataflow_firings(benchmark::State& state) {
   mpct::sim::df::Graph g;
   std::vector<mpct::sim::df::NodeId> layer;
   for (int i = 0; i < 32; ++i) {
-    layer.push_back(g.add_input("i" + std::to_string(i)));
+    layer.push_back(g.add_input(std::string("i").append(std::to_string(i))));
   }
   // Reduction tree: 32 -> 1.
   while (layer.size() > 1) {
@@ -145,7 +145,7 @@ void bm_dataflow_firings(benchmark::State& state) {
 
   std::vector<std::pair<std::string, mpct::sim::Word>> inputs;
   for (int i = 0; i < 32; ++i) {
-    inputs.emplace_back("i" + std::to_string(i), i);
+    inputs.emplace_back(std::string("i").append(std::to_string(i)), i);
   }
   const auto config =
       pes == 1 ? mpct::sim::df::TokenMachineConfig::uniprocessor()
@@ -166,8 +166,8 @@ void bm_fabric_steps(benchmark::State& state) {
   const MappingReport report = map_netlist(adder, fabric);
   std::vector<std::pair<std::string, bool>> values;
   for (int i = 0; i < 4; ++i) {
-    values.emplace_back("a" + std::to_string(i), i % 2 == 0);
-    values.emplace_back("b" + std::to_string(i), i % 2 == 1);
+    values.emplace_back(std::string("a").append(std::to_string(i)), i % 2 == 0);
+    values.emplace_back(std::string("b").append(std::to_string(i)), i % 2 == 1);
   }
   values.emplace_back("cin", false);
   const auto inputs = pack_inputs(report, fabric.primary_inputs(), values);

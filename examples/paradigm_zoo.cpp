@@ -146,8 +146,10 @@ Word run_dataflow() {
   df::Graph g;
   std::vector<df::NodeId> products;
   for (int i = 0; i < kN; ++i) {
-    const df::NodeId a = g.add_input("a" + std::to_string(i));
-    const df::NodeId b = g.add_input("b" + std::to_string(i));
+    const df::NodeId a = g.add_input(
+        std::string("a").append(std::to_string(i)));
+    const df::NodeId b = g.add_input(
+        std::string("b").append(std::to_string(i)));
     products.push_back(g.add_op(df::Op::Mul, a, b));
   }
   while (products.size() > 1) {
@@ -161,8 +163,8 @@ Word run_dataflow() {
 
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < kN; ++i) {
-    inputs.emplace_back("a" + std::to_string(i), kA[i]);
-    inputs.emplace_back("b" + std::to_string(i), kB[i]);
+    inputs.emplace_back(std::string("a").append(std::to_string(i)), kA[i]);
+    inputs.emplace_back(std::string("b").append(std::to_string(i)), kB[i]);
   }
   df::TokenMachine machine(g, df::TokenMachineConfig::for_subtype(4, 4));
   const auto result = machine.run(inputs);
@@ -186,8 +188,10 @@ Word run_usp() {
   const unsigned p1 = static_cast<unsigned>(kA[1] * kB[1]);  // 6
   std::vector<std::pair<std::string, bool>> values;
   for (int i = 0; i < 4; ++i) {
-    values.emplace_back("a" + std::to_string(i), (p0 >> i) & 1u);
-    values.emplace_back("b" + std::to_string(i), (p1 >> i) & 1u);
+    values.emplace_back(
+        std::string("a").append(std::to_string(i)), (p0 >> i) & 1u);
+    values.emplace_back(
+        std::string("b").append(std::to_string(i)), (p1 >> i) & 1u);
   }
   values.emplace_back("cin", false);
   const auto out =
@@ -195,7 +199,8 @@ Word run_usp() {
   unsigned sum = 0;
   for (int i = 0; i < 4; ++i) {
     if (out[static_cast<std::size_t>(
-            report.output_index.at("s" + std::to_string(i)))]) {
+            report.output_index.at(
+                std::string("s").append(std::to_string(i))))]) {
       sum |= 1u << i;
     }
   }

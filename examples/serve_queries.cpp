@@ -63,7 +63,8 @@ std::string describe(const QueryResponse& response) {
   } else if (const RecommendResponse* r = response.recommend()) {
     out += "top classes:";
     for (const auto& rec : r->recommendations) {
-      out += " " + to_string(rec.name);
+      out += ' ';
+      out += to_string(rec.name);
     }
   } else if (const CostResponse* c = response.cost()) {
     out += "cost sweep:";

@@ -4,188 +4,13 @@
 
 namespace mpct {
 
-int array_subtype(SwitchKind dp_dm, SwitchKind dp_dp) {
-  return 1 + 2 * (is_flexible_switch(dp_dm) ? 1 : 0) +
-         (is_flexible_switch(dp_dp) ? 1 : 0);
-}
-
-int multi_subtype(SwitchKind ip_dp, SwitchKind ip_im, SwitchKind dp_dm,
-                  SwitchKind dp_dp) {
-  return 1 + 8 * (is_flexible_switch(ip_dp) ? 1 : 0) +
-         4 * (is_flexible_switch(ip_im) ? 1 : 0) +
-         2 * (is_flexible_switch(dp_dm) ? 1 : 0) +
-         (is_flexible_switch(dp_dp) ? 1 : 0);
-}
-
-Classification detail::classify_by_rules(const MachineClass& mc) {
-  // Universal flow: decided by granularity, not by counts.  MATRIX-style
-  // fabrics with reconfigurable instruction distribution but IP/DP-grain
-  // blocks stay in the instruction-flow branch (Section IV discusses this
-  // for MATRIX explicitly).
-  if (mc.granularity == Granularity::Lut) {
-    return {TaxonomicName{MachineType::UniversalFlow,
-                          ProcessingType::SpatialProcessor, 0},
-            true,
-            ""};
-  }
-
-  if (mc.ips == Multiplicity::Variable || mc.dps == Multiplicity::Variable) {
-    return {std::nullopt, false, std::string(kNoteVariableCounts)};
-  }
-
-  const SwitchKind ip_ip = mc.switch_at(ConnectivityRole::IpIp);
-  const SwitchKind ip_dp = mc.switch_at(ConnectivityRole::IpDp);
-  const SwitchKind ip_im = mc.switch_at(ConnectivityRole::IpIm);
-  const SwitchKind dp_dm = mc.switch_at(ConnectivityRole::DpDm);
-  const SwitchKind dp_dp = mc.switch_at(ConnectivityRole::DpDp);
-
-  if (mc.dps == Multiplicity::Zero) {
-    return {std::nullopt, false, std::string(kNoteNoDataProcessor)};
-  }
-
-  switch (mc.ips) {
-    case Multiplicity::Zero: {
-      // Data flow machines.
-      if (ip_ip != SwitchKind::None || ip_dp != SwitchKind::None ||
-          ip_im != SwitchKind::None) {
-        return {std::nullopt, false, std::string(kNoteDataFlowIpSide)};
-      }
-      if (mc.dps == Multiplicity::One) {
-        return {TaxonomicName{MachineType::DataFlow,
-                              ProcessingType::UniProcessor, 0},
-                true,
-                ""};
-      }
-      return {TaxonomicName{MachineType::DataFlow,
-                            ProcessingType::MultiProcessor,
-                            array_subtype(dp_dm, dp_dp)},
-              true,
-              ""};
-    }
-    case Multiplicity::One: {
-      if (mc.dps == Multiplicity::One) {
-        return {TaxonomicName{MachineType::InstructionFlow,
-                              ProcessingType::UniProcessor, 0},
-                true,
-                ""};
-      }
-      return {TaxonomicName{MachineType::InstructionFlow,
-                            ProcessingType::ArrayProcessor,
-                            array_subtype(dp_dm, dp_dp)},
-              true,
-              ""};
-    }
-    case Multiplicity::Many: {
-      if (mc.dps == Multiplicity::One) {
-        // Table I classes 11-14.
-        return {std::nullopt, false, std::string(kNoteNotImplementable)};
-      }
-      const bool spatial = ip_ip != SwitchKind::None;
-      return {TaxonomicName{MachineType::InstructionFlow,
-                            spatial ? ProcessingType::SpatialProcessor
-                                    : ProcessingType::MultiProcessor,
-                            multi_subtype(ip_dp, ip_im, dp_dm, dp_dp)},
-              true,
-              ""};
-    }
-    case Multiplicity::Variable:
-      break;  // handled above
-  }
-  return {std::nullopt, false, std::string(kNoteUnclassifiable)};
-}
-
 Classification classify(const MachineClass& mc) {
-  // One table load in the index; the rules above only run once, while
-  // the index precomputes the whole structural key space.
+  // One table load in the index, which the compiler precomputed from the
+  // rules over the whole structural key space.
   const TaxonomyIndex::FastClassification fast =
       TaxonomyIndex::instance().classify(mc);
   if (fast.info) return {fast.info->name, true, ""};
   return {std::nullopt, false, std::string(fast.note)};
-}
-
-std::optional<MachineClass> detail::canonical_class_by_rules(
-    const TaxonomicName& name) {
-  if (!combination_exists(name.machine_type, name.processing_type)) {
-    return std::nullopt;
-  }
-  const int max_subtype =
-      subtype_count(name.machine_type, name.processing_type);
-  if (max_subtype == 1) {
-    if (name.subtype != 0) return std::nullopt;
-  } else if (name.subtype < 1 || name.subtype > max_subtype) {
-    return std::nullopt;
-  }
-
-  MachineClass mc;
-  const auto array_bits = [&](MachineClass& m) {
-    const int bits = name.subtype - 1;
-    m.set_switch(ConnectivityRole::DpDm,
-                 (bits & 2) ? SwitchKind::Crossbar : SwitchKind::Direct);
-    m.set_switch(ConnectivityRole::DpDp,
-                 (bits & 1) ? SwitchKind::Crossbar : SwitchKind::None);
-  };
-  const auto multi_bits = [&](MachineClass& m) {
-    const int bits = name.subtype - 1;
-    m.set_switch(ConnectivityRole::IpDp,
-                 (bits & 8) ? SwitchKind::Crossbar : SwitchKind::Direct);
-    m.set_switch(ConnectivityRole::IpIm,
-                 (bits & 4) ? SwitchKind::Crossbar : SwitchKind::Direct);
-    m.set_switch(ConnectivityRole::DpDm,
-                 (bits & 2) ? SwitchKind::Crossbar : SwitchKind::Direct);
-    m.set_switch(ConnectivityRole::DpDp,
-                 (bits & 1) ? SwitchKind::Crossbar : SwitchKind::None);
-  };
-
-  switch (name.machine_type) {
-    case MachineType::DataFlow:
-      mc.ips = Multiplicity::Zero;
-      if (name.processing_type == ProcessingType::UniProcessor) {
-        mc.dps = Multiplicity::One;
-        mc.set_switch(ConnectivityRole::DpDm, SwitchKind::Direct);
-      } else {
-        mc.dps = Multiplicity::Many;
-        array_bits(mc);
-      }
-      return mc;
-    case MachineType::InstructionFlow:
-      switch (name.processing_type) {
-        case ProcessingType::UniProcessor:
-          mc.ips = Multiplicity::One;
-          mc.dps = Multiplicity::One;
-          mc.set_switch(ConnectivityRole::IpDp, SwitchKind::Direct);
-          mc.set_switch(ConnectivityRole::IpIm, SwitchKind::Direct);
-          mc.set_switch(ConnectivityRole::DpDm, SwitchKind::Direct);
-          return mc;
-        case ProcessingType::ArrayProcessor:
-          mc.ips = Multiplicity::One;
-          mc.dps = Multiplicity::Many;
-          mc.set_switch(ConnectivityRole::IpDp, SwitchKind::Direct);
-          mc.set_switch(ConnectivityRole::IpIm, SwitchKind::Direct);
-          array_bits(mc);
-          return mc;
-        case ProcessingType::MultiProcessor:
-          mc.ips = Multiplicity::Many;
-          mc.dps = Multiplicity::Many;
-          multi_bits(mc);
-          return mc;
-        case ProcessingType::SpatialProcessor:
-          mc.ips = Multiplicity::Many;
-          mc.dps = Multiplicity::Many;
-          mc.set_switch(ConnectivityRole::IpIp, SwitchKind::Crossbar);
-          multi_bits(mc);
-          return mc;
-      }
-      return std::nullopt;
-    case MachineType::UniversalFlow:
-      mc.granularity = Granularity::Lut;
-      mc.ips = Multiplicity::Variable;
-      mc.dps = Multiplicity::Variable;
-      for (ConnectivityRole role : kAllConnectivityRoles) {
-        mc.set_switch(role, SwitchKind::Crossbar);
-      }
-      return mc;
-  }
-  return std::nullopt;
 }
 
 std::optional<MachineClass> canonical_class(const TaxonomicName& name) {

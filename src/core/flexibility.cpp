@@ -25,17 +25,6 @@ std::string FlexibilityBreakdown::to_string() const {
   return os.str();
 }
 
-FlexibilityBreakdown flexibility(const MachineClass& mc) {
-  FlexibilityBreakdown b;
-  b.many_ips = counts_as_many(mc.ips) ? 1 : 0;
-  b.many_dps = counts_as_many(mc.dps) ? 1 : 0;
-  for (SwitchKind k : mc.switches) {
-    if (is_flexible_switch(k)) ++b.crossbar_switches;
-  }
-  b.variability_bonus = mc.granularity == Granularity::Lut ? 1 : 0;
-  return b;
-}
-
 int category_offset(const TaxonomicName& name) {
   const std::optional<MachineClass> mc = canonical_class(name);
   if (!mc) {

@@ -20,7 +20,7 @@ struct FlexibilityBreakdown {
   int crossbar_switches = 0; ///< number of 'x' connectivity columns
   int variability_bonus = 0; ///< 1 for universal-flow (LUT-grain) fabrics
 
-  int total() const {
+  constexpr int total() const {
     return many_ips + many_dps + crossbar_switches + variability_bonus;
   }
 
@@ -32,10 +32,19 @@ struct FlexibilityBreakdown {
 };
 
 /// Score a machine structure.
-FlexibilityBreakdown flexibility(const MachineClass& mc);
+constexpr FlexibilityBreakdown flexibility(const MachineClass& mc) {
+  FlexibilityBreakdown b;
+  b.many_ips = counts_as_many(mc.ips) ? 1 : 0;
+  b.many_dps = counts_as_many(mc.dps) ? 1 : 0;
+  for (SwitchKind k : mc.switches) {
+    if (is_flexible_switch(k)) ++b.crossbar_switches;
+  }
+  b.variability_bonus = mc.granularity == Granularity::Lut ? 1 : 0;
+  return b;
+}
 
 /// Total score directly.
-inline int flexibility_score(const MachineClass& mc) {
+constexpr int flexibility_score(const MachineClass& mc) {
   return flexibility(mc).total();
 }
 

@@ -41,10 +41,10 @@ struct MachineClass {
       SwitchKind::None, SwitchKind::None, SwitchKind::None, SwitchKind::None,
       SwitchKind::None};
 
-  SwitchKind switch_at(ConnectivityRole role) const {
+  constexpr SwitchKind switch_at(ConnectivityRole role) const {
     return switches[static_cast<std::size_t>(role)];
   }
-  void set_switch(ConnectivityRole role, SwitchKind kind) {
+  constexpr void set_switch(ConnectivityRole role, SwitchKind kind) {
     switches[static_cast<std::size_t>(role)] = kind;
   }
 

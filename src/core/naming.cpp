@@ -33,67 +33,6 @@ std::string_view to_string(ProcessingType pt) {
   return "?";
 }
 
-char code(MachineType mt) {
-  switch (mt) {
-    case MachineType::DataFlow:
-      return 'D';
-    case MachineType::InstructionFlow:
-      return 'I';
-    case MachineType::UniversalFlow:
-      return 'U';
-  }
-  return '?';
-}
-
-std::string_view code(ProcessingType pt) {
-  switch (pt) {
-    case ProcessingType::UniProcessor:
-      return "UP";
-    case ProcessingType::ArrayProcessor:
-      return "AP";
-    case ProcessingType::MultiProcessor:
-      return "MP";
-    case ProcessingType::SpatialProcessor:
-      return "SP";
-  }
-  return "??";
-}
-
-int subtype_count(MachineType mt, ProcessingType pt) {
-  if (!combination_exists(mt, pt)) return 0;
-  if (mt == MachineType::UniversalFlow) return 1;
-  switch (pt) {
-    case ProcessingType::UniProcessor:
-      return 1;
-    case ProcessingType::ArrayProcessor:
-      return 4;
-    case ProcessingType::MultiProcessor:
-      // Data-flow multiprocessors only vary the two DP-side switches
-      // (DMP I-IV); instruction-flow ones vary four (IMP I-XVI).
-      return mt == MachineType::DataFlow ? 4 : 16;
-    case ProcessingType::SpatialProcessor:
-      return 16;
-  }
-  return 0;
-}
-
-bool combination_exists(MachineType mt, ProcessingType pt) {
-  switch (mt) {
-    case MachineType::DataFlow:
-      // Without an IP there is nothing to broadcast from or to compose,
-      // so data flow machines are only uni or multi processors.
-      return pt == ProcessingType::UniProcessor ||
-             pt == ProcessingType::MultiProcessor;
-    case MachineType::InstructionFlow:
-      return true;
-    case MachineType::UniversalFlow:
-      // Fine-grained fabrics are inherently spatial (Fig. 2 places USP as
-      // the sole universal-flow class).
-      return pt == ProcessingType::SpatialProcessor;
-  }
-  return false;
-}
-
 std::string to_string(const TaxonomicName& name) {
   std::string out;
   out += code(name.machine_type);

@@ -36,10 +36,32 @@ std::string_view to_string(ProcessingType pt);
 
 /// One-letter code used as the first letter of a class name
 /// ('D', 'I', 'U').
-char code(MachineType mt);
+constexpr char code(MachineType mt) {
+  switch (mt) {
+    case MachineType::DataFlow:
+      return 'D';
+    case MachineType::InstructionFlow:
+      return 'I';
+    case MachineType::UniversalFlow:
+      return 'U';
+  }
+  return '?';
+}
 
 /// Two-letter code used in class names ("UP", "AP", "MP", "SP").
-std::string_view code(ProcessingType pt);
+constexpr std::string_view code(ProcessingType pt) {
+  switch (pt) {
+    case ProcessingType::UniProcessor:
+      return "UP";
+    case ProcessingType::ArrayProcessor:
+      return "AP";
+    case ProcessingType::MultiProcessor:
+      return "MP";
+    case ProcessingType::SpatialProcessor:
+      return "SP";
+  }
+  return "??";
+}
 
 /// A hierarchical taxonomic name: Machine Type + Processing Type +
 /// Sub-Processing Type, e.g. IMP-XVI = {InstructionFlow, MultiProcessor,
@@ -68,13 +90,44 @@ std::string to_string(const TaxonomicName& name);
 /// class that has none (e.g. "IUP-II").
 std::optional<TaxonomicName> parse_taxonomic_name(std::string_view text);
 
-/// Number of sub-types a (machine type, processing type) pair has:
-/// 1 for unnumbered classes, 4 for DMP/IAP, 16 for IMP/ISP.
-int subtype_count(MachineType mt, ProcessingType pt);
-
 /// Whether the (machine type, processing type) combination exists in the
 /// taxonomy at all (e.g. there is no data-flow array processor and the
 /// universal flow only has its spatial class).
-bool combination_exists(MachineType mt, ProcessingType pt);
+constexpr bool combination_exists(MachineType mt, ProcessingType pt) {
+  switch (mt) {
+    case MachineType::DataFlow:
+      // Without an IP there is nothing to broadcast from or to compose,
+      // so data flow machines are only uni or multi processors.
+      return pt == ProcessingType::UniProcessor ||
+             pt == ProcessingType::MultiProcessor;
+    case MachineType::InstructionFlow:
+      return true;
+    case MachineType::UniversalFlow:
+      // Fine-grained fabrics are inherently spatial (Fig. 2 places USP as
+      // the sole universal-flow class).
+      return pt == ProcessingType::SpatialProcessor;
+  }
+  return false;
+}
+
+/// Number of sub-types a (machine type, processing type) pair has:
+/// 1 for unnumbered classes, 4 for DMP/IAP, 16 for IMP/ISP.
+constexpr int subtype_count(MachineType mt, ProcessingType pt) {
+  if (!combination_exists(mt, pt)) return 0;
+  if (mt == MachineType::UniversalFlow) return 1;
+  switch (pt) {
+    case ProcessingType::UniProcessor:
+      return 1;
+    case ProcessingType::ArrayProcessor:
+      return 4;
+    case ProcessingType::MultiProcessor:
+      // Data-flow multiprocessors only vary the two DP-side switches
+      // (DMP I-IV); instruction-flow ones vary four (IMP I-XVI).
+      return mt == MachineType::DataFlow ? 4 : 16;
+    case ProcessingType::SpatialProcessor:
+      return 16;
+  }
+  return 0;
+}
 
 }  // namespace mpct

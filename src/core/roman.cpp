@@ -1,55 +1,23 @@
 #include "core/roman.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace mpct {
-
-namespace {
-
-struct RomanDigit {
-  int value;
-  std::string_view glyph;
-};
-
-constexpr std::array<RomanDigit, 13> kDigits{{
-    {1000, "M"},
-    {900, "CM"},
-    {500, "D"},
-    {400, "CD"},
-    {100, "C"},
-    {90, "XC"},
-    {50, "L"},
-    {40, "XL"},
-    {10, "X"},
-    {9, "IX"},
-    {5, "V"},
-    {4, "IV"},
-    {1, "I"},
-}};
-
-}  // namespace
 
 std::string to_roman(int value) {
   if (value < 1 || value > 3999) {
     throw std::invalid_argument("to_roman: value out of range [1,3999]: " +
                                 std::to_string(value));
   }
-  std::string out;
-  for (const auto& digit : kDigits) {
-    while (value >= digit.value) {
-      out += digit.glyph;
-      value -= digit.value;
-    }
-  }
-  return out;
+  char out[kMaxRomanChars];
+  return std::string(out, write_roman(value, out));
 }
 
 std::optional<int> from_roman(std::string_view text) {
   if (text.empty()) return std::nullopt;
   int value = 0;
   std::string_view rest = text;
-  for (const auto& digit : kDigits) {
+  for (const detail::RomanDigit& digit : detail::kRomanDigits) {
     // Canonical form allows at most three repetitions of the pure powers
     // of ten and a single occurrence of everything else.
     const bool repeatable = digit.glyph.size() == 1 &&

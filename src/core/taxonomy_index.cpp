@@ -1,72 +1,17 @@
 #include "core/taxonomy_index.hpp"
 
-#include <cstring>
-
 #include "core/classifier.hpp"
-#include "core/flexibility.hpp"
-#include "core/taxonomy_table.hpp"
 #include "trace/trace.hpp"
 
 namespace mpct {
 
 namespace {
 
-/// Diagnostic table; PackedResult::note indexes it.
-constexpr std::array<std::string_view, 6> kNotes{
-    std::string_view{},
-    detail::kNoteVariableCounts,
-    detail::kNoteNoDataProcessor,
-    detail::kNoteDataFlowIpSide,
-    detail::kNoteNotImplementable,
-    detail::kNoteUnclassifiable,
-};
+/// 15-bit structural key: granularity (1 bit) | ips (2) | dps (2) |
+/// five switch kinds (2 each, ConnectivityRole order).
+constexpr std::size_t kKeySpace = std::size_t{1} << 15;
 
-std::uint8_t note_id(std::string_view note) {
-  for (std::size_t i = 1; i < kNotes.size(); ++i) {
-    if (kNotes[i] == note) return static_cast<std::uint8_t>(i);
-  }
-  return static_cast<std::uint8_t>(kNotes.size() - 1);  // unclassifiable
-}
-
-/// Table I serial of a canonical name, by arithmetic on the name alone
-/// (the serial layout of the generated table: DUP, DMP I-IV, IUP,
-/// IAP I-IV, NI x4, IMP I-XVI, ISP I-XVI, USP).  0 when non-canonical.
-int name_serial(const TaxonomicName& name) {
-  if (!combination_exists(name.machine_type, name.processing_type)) return 0;
-  const int max_subtype =
-      subtype_count(name.machine_type, name.processing_type);
-  if (max_subtype == 1) {
-    if (name.subtype != 0) return 0;
-  } else if (name.subtype < 1 || name.subtype > max_subtype) {
-    return 0;
-  }
-
-  switch (name.machine_type) {
-    case MachineType::DataFlow:
-      return name.processing_type == ProcessingType::UniProcessor
-                 ? 1
-                 : 1 + name.subtype;  // 2..5
-    case MachineType::InstructionFlow:
-      switch (name.processing_type) {
-        case ProcessingType::UniProcessor:
-          return 6;
-        case ProcessingType::ArrayProcessor:
-          return 6 + name.subtype;  // 7..10
-        case ProcessingType::MultiProcessor:
-          return 14 + name.subtype;  // 15..30
-        case ProcessingType::SpatialProcessor:
-          return 30 + name.subtype;  // 31..46
-      }
-      return 0;
-    case MachineType::UniversalFlow:
-      return 47;
-  }
-  return 0;
-}
-
-}  // namespace
-
-std::uint32_t TaxonomyIndex::pack(const MachineClass& mc) {
+constexpr std::uint32_t pack(const MachineClass& mc) {
   std::uint32_t key = static_cast<std::uint32_t>(mc.granularity) & 1u;
   key |= (static_cast<std::uint32_t>(mc.ips) & 3u) << 1;
   key |= (static_cast<std::uint32_t>(mc.dps) & 3u) << 3;
@@ -76,85 +21,66 @@ std::uint32_t TaxonomyIndex::pack(const MachineClass& mc) {
   return key;
 }
 
-const TaxonomyIndex::ClassInfo* TaxonomyIndex::by_name(
-    const TaxonomicName& name) const {
-  const int serial = name_serial(name);
-  return serial == 0 ? nullptr
-                     : &rows_[static_cast<std::size_t>(serial - 1)];
+/// Table I serial (1..47) of the row carrying the name `classify`
+/// produces for a key; 0 when classification fails, with `note` saying
+/// why.  Value-initialised entries read as "unclassifiable".
+struct PackedResult {
+  std::uint8_t serial;
+  detail::Note note;
+};
+
+/// classify() over the whole key space, evaluated by the compiler.  Only
+/// the 3^5 x 32 = 7,776 keys whose switch fields name a SwitchKind are
+/// walked, each with little more than the rules themselves, which keeps
+/// the evaluation well inside the compilers' default constexpr limits
+/// (clang: 2^20 steps).  The other keys are unreachable from real
+/// MachineClass values and stay "unclassifiable".
+constexpr std::array<PackedResult, kKeySpace> build_classify_table() {
+  std::array<PackedResult, kKeySpace> table{};
+  for (std::uint32_t kinds = 0; kinds < 243; ++kinds) {
+    MachineClass mc;
+    std::uint32_t digits = kinds;  // base 3, one digit per switch
+    for (SwitchKind& kind : mc.switches) {
+      kind = static_cast<SwitchKind>(digits % 3);
+      digits /= 3;
+    }
+    // The low five key bits are granularity | ips | dps, as in pack().
+    mc.granularity = Granularity::IpDp;
+    mc.ips = mc.dps = Multiplicity::Zero;
+    const std::uint32_t switch_bits = pack(mc);
+    for (std::uint32_t low = 0; low < 32; ++low) {
+      mc.granularity = static_cast<Granularity>(low & 1u);
+      mc.ips = static_cast<Multiplicity>((low >> 1) & 3u);
+      mc.dps = static_cast<Multiplicity>((low >> 3) & 3u);
+      const detail::RuledClass ruled = detail::apply_rules(mc);
+      table[switch_bits | low] = {
+          static_cast<std::uint8_t>(
+              ruled.name ? detail::name_serial(*ruled.name) : 0),
+          ruled.note};
+    }
+  }
+  return table;
 }
+
+constexpr std::array<PackedResult, kKeySpace> kClassifyTable =
+    build_classify_table();
+
+// The table is constant data: building it at run time fails here.
+static_assert(kClassifyTable[pack(*detail::canonical_class_by_rules(
+                                  {MachineType::InstructionFlow,
+                                   ProcessingType::UniProcessor, 0}))]
+                  .serial == 6);
+
+}  // namespace
 
 TaxonomyIndex::FastClassification TaxonomyIndex::classify(
     const MachineClass& mc) const {
   // Count-only hook: this path is ~4 ns, so the budget is one relaxed
   // load and a predicted branch (bench_sweep guards the fast path).
   trace::profile_count(trace::ProfilePoint::ClassifyFast);
-  const PackedResult result = classify_table_[pack(mc)];
-  if (result.serial != 0) {
-    return {&rows_[static_cast<std::size_t>(result.serial - 1)], {}};
-  }
-  return {nullptr, kNotes[result.note]};
-}
-
-TaxonomyIndex::TaxonomyIndex()
-    : classify_table_(kKeySpace), canonical_serial_(kKeySpace, 0) {
-  // 1. Flat row data + interned names, from the generated table.
-  const std::span<const TaxonomyEntry> table = extended_taxonomy();
-  for (const TaxonomyEntry& entry : table) {
-    ClassInfo& info = rows_[static_cast<std::size_t>(entry.serial - 1)];
-    info.machine = entry.machine;
-    info.serial = static_cast<std::int16_t>(entry.serial);
-    info.named = entry.name.has_value();
-    info.implementable = entry.implementable;
-    info.flexibility =
-        static_cast<std::int8_t>(flexibility_score(entry.machine));
-    if (entry.name) {
-      info.name = *entry.name;
-      const std::string rendered = to_string(*entry.name);
-      char* slot = name_chars_.data() + (entry.serial - 1) * 8;
-      std::memcpy(slot, rendered.data(), rendered.size());
-      info.interned_name = std::string_view(slot, rendered.size());
-    } else {
-      info.interned_name = "NI";
-    }
-    canonical_serial_[pack(entry.machine)] =
-        static_cast<std::uint8_t>(entry.serial);
-  }
-
-  // 2. Precompute classify() over the whole key space.  Keys whose
-  // switch fields decode to no SwitchKind enumerator are unreachable
-  // from real MachineClass values and stay "unclassifiable".
-  const std::uint8_t unclassifiable = note_id(detail::kNoteUnclassifiable);
-  for (std::uint32_t key = 0; key < kKeySpace; ++key) {
-    PackedResult& result = classify_table_[key];
-    MachineClass mc;
-    mc.granularity = static_cast<Granularity>(key & 1u);
-    mc.ips = static_cast<Multiplicity>((key >> 1) & 3u);
-    mc.dps = static_cast<Multiplicity>((key >> 3) & 3u);
-    bool valid = true;
-    for (std::size_t i = 0; i < kConnectivityRoleCount; ++i) {
-      const std::uint32_t kind = (key >> (5 + 2 * i)) & 3u;
-      if (kind > static_cast<std::uint32_t>(SwitchKind::Crossbar)) {
-        valid = false;
-        break;
-      }
-      mc.switches[i] = static_cast<SwitchKind>(kind);
-    }
-    if (!valid) {
-      result = {0, unclassifiable};
-      continue;
-    }
-    const Classification ruled = detail::classify_by_rules(mc);
-    if (ruled.name) {
-      result = {static_cast<std::uint8_t>(name_serial(*ruled.name)), 0};
-    } else {
-      result = {0, note_id(ruled.note)};
-    }
-  }
-}
-
-const TaxonomyIndex& TaxonomyIndex::instance() {
-  static const TaxonomyIndex index;
-  return index;
+  const PackedResult result = kClassifyTable[pack(mc)];
+  if (result.serial != 0) return {by_serial(result.serial), {}};
+  return {nullptr, detail::note_text(result.note)};
 }
 
 }  // namespace mpct

@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
+#include "core/flexibility.hpp"
 #include "core/machine_class.hpp"
 #include "core/naming.hpp"
+#include "core/roman.hpp"
+#include "core/taxonomy_table.hpp"
 
 namespace mpct {
 
@@ -15,23 +17,20 @@ namespace mpct {
 /// allocation-free fast path under `classify()`, `canonical_class()` and
 /// the `find_entry()` lookups.
 ///
-/// Built once at first touch from the same structural rules as
-/// `extended_taxonomy()`:
-///  * every canonical row's name is rendered once and interned, so hot
+/// All of it is constant data the compiler builds from Table I and the
+/// rule walker (`detail::apply_rules`); nothing is constructed at run
+/// time, so the first call in a process costs what every later one does:
+///  * every canonical row's name is rendered into a fixed buffer, so hot
 ///    paths hand out `string_view`s instead of formatting strings;
 ///  * flexibility scores are precomputed per row (Table II without the
 ///    per-call switch walk);
 ///  * a `MachineClass` packs into a 15-bit structural key (granularity,
-///    two multiplicities, five switch kinds), and two dense tables over
-///    that key space precompute (a) the classification of *every*
-///    possible structure and (b) the canonical-row match, making
-///    `classify()` and structure lookup single loads.
+///    two multiplicities, five switch kinds), and a dense table over
+///    that key space (taxonomy_index.cpp) holds the classification of
+///    *every* possible structure, making `classify()` a single load.
 ///
-/// Thread safety: the instance is a function-local static (Meyers
-/// singleton, exactly-once initialisation) and strictly read-only
-/// afterwards — the same const-read guarantee core/taxonomy_table.hpp
-/// documents, which service::QueryEngine workers and the parallel sweep
-/// rely on.
+/// Thread safety: read-only constant data, safe for any number of
+/// concurrent readers (service::QueryEngine workers, the parallel sweep).
 class TaxonomyIndex {
  public:
   /// Number of rows in Table I.
@@ -46,9 +45,8 @@ class TaxonomyIndex {
     bool named = false;      ///< false for the four NI rows
     bool implementable = false;
     std::int8_t flexibility = 0;  ///< Table II score of `machine`
-    /// Rendered class name ("DMP-III", "USP"), interned in the index;
-    /// "NI" for the not-implementable rows.  Valid for the process
-    /// lifetime.
+    /// Rendered class name ("DMP-III", "USP"); "NI" for the
+    /// not-implementable rows.  Static storage.
     std::string_view interned_name;
   };
 
@@ -64,29 +62,25 @@ class TaxonomyIndex {
     bool ok() const { return info != nullptr; }
   };
 
-  static const TaxonomyIndex& instance();
+  static constexpr const TaxonomyIndex& instance();
 
   TaxonomyIndex(const TaxonomyIndex&) = delete;
   TaxonomyIndex& operator=(const TaxonomyIndex&) = delete;
 
   /// All 47 rows in Table I order.
-  std::span<const ClassInfo> rows() const { return rows_; }
+  constexpr std::span<const ClassInfo> rows() const;
 
   /// Row by serial 1..47 (nullptr out of range).
-  const ClassInfo* by_serial(int serial) const {
-    if (serial < 1 || serial > kRowCount) return nullptr;
-    return &rows_[static_cast<std::size_t>(serial - 1)];
-  }
+  constexpr const ClassInfo* by_serial(int serial) const;
 
   /// Canonical row for a taxonomic name — O(1) arithmetic on the name,
   /// no scan.  nullptr when the name is not canonical.
-  const ClassInfo* by_name(const TaxonomicName& name) const;
+  constexpr const ClassInfo* by_name(const TaxonomicName& name) const;
 
-  /// Row whose canonical structure equals @p mc exactly — one table
-  /// load.  nullptr when the structure is not one of the 47 rows.
-  const ClassInfo* by_structure(const MachineClass& mc) const {
-    return by_serial(canonical_serial_[pack(mc)]);
-  }
+  /// Row whose canonical structure equals @p mc exactly; nullptr when the
+  /// structure is not one of the 47 rows.  A scan of the rows: no hot
+  /// path asks this.
+  constexpr const ClassInfo* by_structure(const MachineClass& mc) const;
 
   /// Classify any structure — one table load, no formatting, no
   /// allocation.  Same decision rules as `mpct::classify()` (which is a
@@ -95,36 +89,137 @@ class TaxonomyIndex {
 
   /// Interned rendering of a canonical name; empty view when the name is
   /// not canonical.
-  std::string_view interned_name(const TaxonomicName& name) const {
+  constexpr std::string_view interned_name(const TaxonomicName& name) const {
     const ClassInfo* info = by_name(name);
     return info ? info->interned_name : std::string_view{};
   }
 
  private:
-  TaxonomyIndex();
+  constexpr TaxonomyIndex() = default;
 
-  /// 15-bit structural key: granularity (1 bit) | ips (2) | dps (2) |
-  /// five switch kinds (2 each, ConnectivityRole order).
-  static constexpr std::size_t kKeySpace = std::size_t{1} << 15;
-  static std::uint32_t pack(const MachineClass& mc);
-
-  /// Table I serial (1..47) of the row carrying the name `classify`
-  /// produces for each key; 0 when classification fails, with `note`
-  /// indexing the static diagnostic table.
-  struct PackedResult {
-    std::uint8_t serial = 0;
-    std::uint8_t note = 0;
-  };
-
-  std::array<ClassInfo, kRowCount> rows_{};
-  /// Backing store for the interned names (max 7 chars each).
-  std::array<char, kRowCount * 8> name_chars_{};
-  std::vector<PackedResult> classify_table_;   ///< kKeySpace entries
-  std::vector<std::uint8_t> canonical_serial_; ///< kKeySpace entries
+  static const TaxonomyIndex kInstance;
 };
 
+namespace detail {
+
+/// Room per row in kIndexNames: the longest class name is "IMP-XIII".
+inline constexpr std::size_t kIndexNameChars = 8;
+
+constexpr std::array<char, TaxonomyIndex::kRowCount * kIndexNameChars>
+render_index_names() {
+  std::array<char, TaxonomyIndex::kRowCount * kIndexNameChars> chars{};
+  for (const TaxonomyEntry& entry : extended_taxonomy()) {
+    if (!entry.name) continue;
+    char* out = chars.data() + (entry.serial - 1) * kIndexNameChars;
+    *out++ = code(entry.name->machine_type);
+    for (char c : code(entry.name->processing_type)) *out++ = c;
+    if (entry.name->subtype > 0) {
+      *out++ = '-';
+      write_roman(entry.name->subtype, out);
+    }
+  }
+  return chars;
+}
+
+/// The rendered class names, row by row; unused bytes are '\0'.
+inline constexpr std::array<char, TaxonomyIndex::kRowCount * kIndexNameChars>
+    kIndexNames = render_index_names();
+
+constexpr std::array<TaxonomyIndex::ClassInfo, TaxonomyIndex::kRowCount>
+build_index_rows() {
+  std::array<TaxonomyIndex::ClassInfo, TaxonomyIndex::kRowCount> rows{};
+  for (const TaxonomyEntry& entry : extended_taxonomy()) {
+    TaxonomyIndex::ClassInfo& info = rows[entry.serial - 1];
+    info.machine = entry.machine;
+    info.serial = static_cast<std::int16_t>(entry.serial);
+    info.named = entry.name.has_value();
+    info.implementable = entry.implementable;
+    info.flexibility =
+        static_cast<std::int8_t>(flexibility_score(entry.machine));
+    info.interned_name = "NI";
+    if (entry.name) {
+      info.name = *entry.name;
+      const char* slot =
+          kIndexNames.data() + (entry.serial - 1) * kIndexNameChars;
+      std::size_t length = 0;
+      while (length < kIndexNameChars && slot[length] != '\0') ++length;
+      info.interned_name = std::string_view(slot, length);
+    }
+  }
+  return rows;
+}
+
+inline constexpr std::array<TaxonomyIndex::ClassInfo, TaxonomyIndex::kRowCount>
+    kIndexRows = build_index_rows();
+
+/// Table I serial of a canonical name, by arithmetic on the name alone
+/// (the serial layout of the generated table: DUP, DMP I-IV, IUP,
+/// IAP I-IV, NI x4, IMP I-XVI, ISP I-XVI, USP).  0 when non-canonical.
+constexpr int name_serial(const TaxonomicName& name) {
+  const int max_subtype =
+      subtype_count(name.machine_type, name.processing_type);
+  if (max_subtype == 0) return 0;  // no such combination
+  if (max_subtype == 1) {
+    if (name.subtype != 0) return 0;
+  } else if (name.subtype < 1 || name.subtype > max_subtype) {
+    return 0;
+  }
+
+  switch (name.machine_type) {
+    case MachineType::DataFlow:
+      return name.processing_type == ProcessingType::UniProcessor
+                 ? 1
+                 : 1 + name.subtype;  // 2..5
+    case MachineType::InstructionFlow:
+      switch (name.processing_type) {
+        case ProcessingType::UniProcessor:
+          return 6;
+        case ProcessingType::ArrayProcessor:
+          return 6 + name.subtype;  // 7..10
+        case ProcessingType::MultiProcessor:
+          return 14 + name.subtype;  // 15..30
+        case ProcessingType::SpatialProcessor:
+          return 30 + name.subtype;  // 31..46
+      }
+      return 0;
+    case MachineType::UniversalFlow:
+      return 47;
+  }
+  return 0;
+}
+
+}  // namespace detail
+
+inline constexpr TaxonomyIndex TaxonomyIndex::kInstance{};
+
+constexpr const TaxonomyIndex& TaxonomyIndex::instance() { return kInstance; }
+
+constexpr std::span<const TaxonomyIndex::ClassInfo> TaxonomyIndex::rows()
+    const {
+  return detail::kIndexRows;
+}
+
+constexpr const TaxonomyIndex::ClassInfo* TaxonomyIndex::by_serial(
+    int serial) const {
+  if (serial < 1 || serial > kRowCount) return nullptr;
+  return &detail::kIndexRows[static_cast<std::size_t>(serial - 1)];
+}
+
+constexpr const TaxonomyIndex::ClassInfo* TaxonomyIndex::by_name(
+    const TaxonomicName& name) const {
+  return by_serial(detail::name_serial(name));
+}
+
+constexpr const TaxonomyIndex::ClassInfo* TaxonomyIndex::by_structure(
+    const MachineClass& mc) const {
+  for (const ClassInfo& info : detail::kIndexRows) {
+    if (info.machine == mc) return &info;
+  }
+  return nullptr;
+}
+
 /// Convenience accessor mirroring `extended_taxonomy()`.
-inline const TaxonomyIndex& taxonomy_index() {
+constexpr const TaxonomyIndex& taxonomy_index() {
   return TaxonomyIndex::instance();
 }
 

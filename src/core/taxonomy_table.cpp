@@ -1,109 +1,13 @@
 #include "core/taxonomy_table.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "core/taxonomy_index.hpp"
 
 namespace mpct {
 
-namespace {
-
-constexpr std::string_view kSectionDfSingle =
-    "Data Flow Machines -> Single Processor";
-constexpr std::string_view kSectionDfMulti =
-    "Data Flow Machines -> Multi Processors";
-constexpr std::string_view kSectionIfSingle =
-    "Instruction Flow -> Single Processor";
-constexpr std::string_view kSectionIfArray =
-    "Instruction Flow -> Array Processor";
-constexpr std::string_view kSectionIfMulti =
-    "Instruction Flow -> Multi Processor";
-constexpr std::string_view kSectionUfSpatial =
-    "Universal Flow Machine -> Spatial Computing";
-
-MachineClass ni_class(bool ip_ip_crossbar, bool ip_im_crossbar) {
-  MachineClass mc;
-  mc.ips = Multiplicity::Many;
-  mc.dps = Multiplicity::One;
-  mc.set_switch(ConnectivityRole::IpIp,
-                ip_ip_crossbar ? SwitchKind::Crossbar : SwitchKind::None);
-  mc.set_switch(ConnectivityRole::IpDp, SwitchKind::Direct);
-  mc.set_switch(ConnectivityRole::IpIm,
-                ip_im_crossbar ? SwitchKind::Crossbar : SwitchKind::Direct);
-  mc.set_switch(ConnectivityRole::DpDm, SwitchKind::Direct);
-  return mc;
-}
-
-std::vector<TaxonomyEntry> build_table() {
-  std::vector<TaxonomyEntry> rows;
-  rows.reserve(47);
-  int serial = 0;
-
-  // The rule-based inverse, not the public canonical_class(): the public
-  // one answers from the TaxonomyIndex, which is built from this table —
-  // calling it here would recurse into our own initialisation.
-  const auto push_named = [&](const TaxonomicName& name,
-                              std::string_view section) {
-    const std::optional<MachineClass> mc =
-        detail::canonical_class_by_rules(name);
-    rows.push_back(TaxonomyEntry{++serial, *mc, name, true, section});
-  };
-  const auto push_ni = [&](const MachineClass& mc, std::string_view section) {
-    rows.push_back(TaxonomyEntry{++serial, mc, std::nullopt, false, section});
-  };
-
-  // 1: DUP.
-  push_named({MachineType::DataFlow, ProcessingType::UniProcessor, 0},
-             kSectionDfSingle);
-  // 2-5: DMP I-IV.
-  for (int sub = 1; sub <= 4; ++sub) {
-    push_named({MachineType::DataFlow, ProcessingType::MultiProcessor, sub},
-               kSectionDfMulti);
-  }
-  // 6: IUP.
-  push_named({MachineType::InstructionFlow, ProcessingType::UniProcessor, 0},
-             kSectionIfSingle);
-  // 7-10: IAP I-IV.
-  for (int sub = 1; sub <= 4; ++sub) {
-    push_named(
-        {MachineType::InstructionFlow, ProcessingType::ArrayProcessor, sub},
-        kSectionIfArray);
-  }
-  // 11-14: the not-implementable n-IP / 1-DP classes.  Row order follows
-  // Table I: IP-IM upgrades before IP-IP does.
-  push_ni(ni_class(false, false), kSectionIfArray);
-  push_ni(ni_class(false, true), kSectionIfArray);
-  push_ni(ni_class(true, false), kSectionIfArray);
-  push_ni(ni_class(true, true), kSectionIfArray);
-  // 15-30: IMP I-XVI.
-  for (int sub = 1; sub <= 16; ++sub) {
-    push_named(
-        {MachineType::InstructionFlow, ProcessingType::MultiProcessor, sub},
-        kSectionIfMulti);
-  }
-  // 31-46: ISP I-XVI.
-  for (int sub = 1; sub <= 16; ++sub) {
-    push_named(
-        {MachineType::InstructionFlow, ProcessingType::SpatialProcessor, sub},
-        kSectionIfMulti);
-  }
-  // 47: USP.
-  push_named({MachineType::UniversalFlow, ProcessingType::SpatialProcessor, 0},
-             kSectionUfSpatial);
-
-  return rows;
-}
-
-}  // namespace
-
 std::string TaxonomyEntry::comment() const {
   return name ? to_string(*name) : std::string("NI");
-}
-
-std::span<const TaxonomyEntry> extended_taxonomy() {
-  static const std::vector<TaxonomyEntry> table = build_table();
-  return table;
 }
 
 const TaxonomyEntry* find_entry(const TaxonomicName& name) {
@@ -113,7 +17,7 @@ const TaxonomyEntry* find_entry(const TaxonomicName& name) {
 }
 
 const TaxonomyEntry* find_entry(int serial) {
-  const auto table = extended_taxonomy();
+  const auto& table = extended_taxonomy();
   if (serial < 1 || serial > static_cast<int>(table.size())) return nullptr;
   return &table[static_cast<std::size_t>(serial - 1)];
 }
@@ -125,7 +29,7 @@ const TaxonomyEntry* find_entry(const MachineClass& mc) {
 }
 
 int implementable_class_count() {
-  const auto table = extended_taxonomy();
+  const auto& table = extended_taxonomy();
   return static_cast<int>(
       std::count_if(table.begin(), table.end(),
                     [](const TaxonomyEntry& e) { return e.implementable; }));

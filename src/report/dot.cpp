@@ -19,7 +19,7 @@ void emit_node(std::ostringstream& os, const std::string& id,
 
 void walk(const HierarchyNode& node, const std::string& parent,
           std::ostringstream& os, int& counter) {
-  const std::string id = "n" + std::to_string(counter++);
+  const std::string id = std::string("n").append(std::to_string(counter++));
   std::string label = node.label;
   if (!node.classes.empty()) {
     label += "\\n";

@@ -44,7 +44,9 @@ std::optional<Opcode> opcode_from_mnemonic(std::string_view text) {
 std::string to_string(const Instruction& inst) {
   std::ostringstream os;
   os << mnemonic(inst.op);
-  const auto r = [](int index) { return "r" + std::to_string(index); };
+  const auto r = [](int index) {
+    return std::string("r").append(std::to_string(index));
+  };
   switch (inst.op) {
     case Opcode::Nop:
     case Opcode::Halt:

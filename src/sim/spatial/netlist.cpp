@@ -312,10 +312,10 @@ Netlist build_ripple_adder(int bits) {
   Netlist nl;
   std::vector<GateId> a, b;
   for (int i = 0; i < bits; ++i) {
-    a.push_back(nl.add_input("a" + std::to_string(i)));
+    a.push_back(nl.add_input(std::string("a").append(std::to_string(i))));
   }
   for (int i = 0; i < bits; ++i) {
-    b.push_back(nl.add_input("b" + std::to_string(i)));
+    b.push_back(nl.add_input(std::string("b").append(std::to_string(i))));
   }
   GateId carry = nl.add_input("cin");
   for (int i = 0; i < bits; ++i) {
@@ -326,7 +326,7 @@ Netlist build_ripple_adder(int bits) {
                                    b[static_cast<std::size_t>(i)]);
     const GateId and2 = nl.add_and(axb, carry);
     carry = nl.add_or(and1, and2);
-    nl.add_output("s" + std::to_string(i), sum);
+    nl.add_output(std::string("s").append(std::to_string(i)), sum);
   }
   nl.add_output("cout", carry);
   return nl;
@@ -343,7 +343,8 @@ Netlist build_counter(int bits) {
     const GateId next = nl.add_xor(q[static_cast<std::size_t>(i)], carry);
     carry = nl.add_and(carry, q[static_cast<std::size_t>(i)]);
     nl.connect_dff(q[static_cast<std::size_t>(i)], next);
-    nl.add_output("q" + std::to_string(i), q[static_cast<std::size_t>(i)]);
+    nl.add_output(std::string("q").append(std::to_string(i)),
+                  q[static_cast<std::size_t>(i)]);
   }
   return nl;
 }

@@ -106,15 +106,18 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 Tracer& Tracer::instance() {
-  static Tracer tracer;
+  // Never destroyed: a worker thread may record right up to process
+  // exit, so the registry (and through it every thread's buffer) must
+  // outlive every recorder and stay reachable.
+  static Tracer& tracer = *new Tracer;
   return tracer;
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
   if (tl_buffer != nullptr) return *tl_buffer;
   std::lock_guard<std::mutex> lock(registry_mutex_);
-  // Buffers are leaked deliberately: a worker thread may record right up
-  // to process exit, and the registry must outlive every recorder.
+  // Buffers live as long as the registry that lists them (forever, see
+  // instance()).
   auto* buffer = new ThreadBuffer(
       capacity_, static_cast<std::uint32_t>(buffers_.size()));
   buffers_.push_back(buffer);

@@ -22,7 +22,7 @@ df::Graph reduction_tree(int leaves) {
   df::Graph g;
   std::vector<df::NodeId> layer;
   for (int i = 0; i < leaves; ++i) {
-    layer.push_back(g.add_input("i" + std::to_string(i)));
+    layer.push_back(g.add_input(std::string("i").append(std::to_string(i))));
   }
   while (layer.size() > 1) {
     std::vector<df::NodeId> next;
@@ -39,7 +39,7 @@ df::Graph reduction_tree(int leaves) {
 std::vector<std::pair<std::string, Word>> tree_inputs(int leaves) {
   std::vector<std::pair<std::string, Word>> inputs;
   for (int i = 0; i < leaves; ++i) {
-    inputs.emplace_back("i" + std::to_string(i), i + 1);
+    inputs.emplace_back(std::string("i").append(std::to_string(i)), i + 1);
   }
   return inputs;
 }

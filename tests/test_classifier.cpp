@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
+#include "core/flexibility.hpp"
+#include "core/taxonomy_index.hpp"
 #include "core/taxonomy_table.hpp"
 
 namespace mpct {
@@ -178,6 +183,70 @@ TEST(Classifier, NiRowsRejected) {
     const auto result = classify(row.machine);
     EXPECT_FALSE(result.ok()) << row.serial;
     EXPECT_FALSE(result.implementable) << row.serial;
+  }
+}
+
+/// Decode a 15-bit structural key: granularity (1 bit) | ips (2) |
+/// dps (2) | five switch kinds (2 each, ConnectivityRole order).  Empty
+/// for keys whose switch fields name no SwitchKind.
+std::optional<MachineClass> decode_key(std::uint32_t key) {
+  MachineClass mc;
+  mc.granularity = static_cast<Granularity>(key & 1u);
+  mc.ips = static_cast<Multiplicity>((key >> 1) & 3u);
+  mc.dps = static_cast<Multiplicity>((key >> 3) & 3u);
+  for (std::size_t i = 0; i < kConnectivityRoleCount; ++i) {
+    const std::uint32_t kind = (key >> (5 + 2 * i)) & 3u;
+    if (kind > static_cast<std::uint32_t>(SwitchKind::Crossbar)) {
+      return std::nullopt;
+    }
+    mc.switches[i] = static_cast<SwitchKind>(kind);
+  }
+  return mc;
+}
+
+/// Oracle parity: the index answers exactly as the rule walker on every
+/// structure — name, implementable flag and note text.
+TEST(ClassifierOracle, IndexMatchesRulesOnEveryStructure) {
+  int valid = 0;
+  for (std::uint32_t key = 0; key < (1u << 15); ++key) {
+    const std::optional<MachineClass> mc = decode_key(key);
+    if (!mc) continue;
+    ++valid;
+    const Classification fast = classify(*mc);
+    const Classification ruled = detail::classify_by_rules(*mc);
+    ASSERT_EQ(fast.name, ruled.name) << to_string(*mc);
+    ASSERT_EQ(fast.implementable, ruled.implementable) << to_string(*mc);
+    ASSERT_EQ(fast.note, ruled.note) << to_string(*mc);
+  }
+  EXPECT_EQ(valid, 2 * 4 * 4 * 243);  // 3^5 switch patterns
+}
+
+/// Every index row agrees with Table I, the rule-based inverse, the name
+/// renderer and the flexibility score.
+TEST(ClassifierOracle, IndexRowsMatchTableAndRules) {
+  const TaxonomyIndex& index = taxonomy_index();
+  ASSERT_EQ(index.rows().size(), extended_taxonomy().size());
+  for (const TaxonomyEntry& row : extended_taxonomy()) {
+    const TaxonomyIndex::ClassInfo* info = index.by_serial(row.serial);
+    ASSERT_NE(info, nullptr) << row.serial;
+    EXPECT_EQ(info->serial, row.serial);
+    EXPECT_EQ(info->machine, row.machine) << row.serial;
+    EXPECT_EQ(index.by_structure(row.machine), info) << row.serial;
+    EXPECT_EQ(info->flexibility, flexibility_score(row.machine))
+        << row.serial;
+    EXPECT_EQ(info->named, row.name.has_value()) << row.serial;
+    EXPECT_EQ(info->implementable, row.implementable) << row.serial;
+    if (!row.name) {
+      EXPECT_EQ(info->interned_name, "NI") << row.serial;
+      continue;
+    }
+    EXPECT_EQ(info->name, *row.name) << row.serial;
+    EXPECT_EQ(index.by_name(*row.name), info) << row.serial;
+    EXPECT_EQ(canonical_class(*row.name),
+              detail::canonical_class_by_rules(*row.name))
+        << row.serial;
+    EXPECT_EQ(info->interned_name, to_string(*row.name)) << row.serial;
+    EXPECT_EQ(index.interned_name(*row.name), to_string(*row.name));
   }
 }
 

@@ -33,7 +33,7 @@ TEST(MorphDot, ContainsAllNamedClasses) {
   EXPECT_EQ(dot.rfind("digraph morph {", 0), 0u);
   for (const char* name : {"DUP", "DMP-IV", "IUP", "IAP-II", "IMP-XVI",
                            "ISP-IV", "USP"}) {
-    EXPECT_NE(dot.find("\"" + std::string(name) + "\""),
+    EXPECT_NE(dot.find(std::string("\"").append(name).append("\"")),
               std::string::npos)
         << name;
   }

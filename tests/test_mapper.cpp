@@ -12,8 +12,8 @@ std::vector<std::pair<std::string, bool>> adder_inputs(int bits, unsigned a,
                                                        bool cin) {
   std::vector<std::pair<std::string, bool>> in;
   for (int i = 0; i < bits; ++i) {
-    in.emplace_back("a" + std::to_string(i), (a >> i) & 1u);
-    in.emplace_back("b" + std::to_string(i), (b >> i) & 1u);
+    in.emplace_back(std::string("a").append(std::to_string(i)), (a >> i) & 1u);
+    in.emplace_back(std::string("b").append(std::to_string(i)), (b >> i) & 1u);
   }
   in.emplace_back("cin", cin);
   return in;
@@ -73,7 +73,8 @@ TEST(Mapper, MappedCounterCountsOnFabric) {
         pack_inputs(report, fabric.primary_inputs(), {{"en", true}}));
     unsigned value = 0;
     for (int bit = 0; bit < 3; ++bit) {
-      const int index = report.output_index.at("q" + std::to_string(bit));
+      const int index =
+          report.output_index.at(std::string("q").append(std::to_string(bit)));
       if (out[static_cast<std::size_t>(index)]) value |= 1u << bit;
     }
     EXPECT_EQ(value, static_cast<unsigned>(cycle) % 8) << cycle;

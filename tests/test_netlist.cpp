@@ -12,8 +12,8 @@ std::vector<std::pair<std::string, bool>> adder_inputs(int bits, unsigned a,
                                                        bool cin) {
   std::vector<std::pair<std::string, bool>> in;
   for (int i = 0; i < bits; ++i) {
-    in.emplace_back("a" + std::to_string(i), (a >> i) & 1u);
-    in.emplace_back("b" + std::to_string(i), (b >> i) & 1u);
+    in.emplace_back(std::string("a").append(std::to_string(i)), (a >> i) & 1u);
+    in.emplace_back(std::string("b").append(std::to_string(i)), (b >> i) & 1u);
   }
   in.emplace_back("cin", cin);
   return in;

@@ -2,10 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+
+#include "core/taxonomy_index.hpp"
 
 namespace mpct {
 namespace {
+
+// Table I and the index are constant data: these checks run in the
+// compiler, so a change that builds either at run time fails to build.
+static_assert(extended_taxonomy().size() == 47);
+static_assert(std::count_if(extended_taxonomy().begin(),
+                            extended_taxonomy().end(),
+                            [](const TaxonomyEntry& row) {
+                              return row.name.has_value();
+                            }) == 43);
+static_assert([] {
+  for (int serial = 11; serial <= 14; ++serial) {
+    if (extended_taxonomy()[serial - 1].name) return false;
+    if (taxonomy_index().by_serial(serial)->named) return false;
+  }
+  return true;
+}());
+static_assert(extended_taxonomy()[46].name ==
+              TaxonomicName{MachineType::UniversalFlow,
+                            ProcessingType::SpatialProcessor, 0});
+static_assert(taxonomy_index().by_serial(47)->interned_name == "USP");
+static_assert(taxonomy_index()
+                  .by_structure(*detail::canonical_class_by_rules(
+                      {MachineType::InstructionFlow,
+                       ProcessingType::UniProcessor, 0}))
+                  ->serial == 6);
 
 TEST(TaxonomyTable, Has47Rows) {
   EXPECT_EQ(extended_taxonomy().size(), 47u);
