@@ -1,40 +1,11 @@
 #include "arch/connectivity_expr.hpp"
 
-#include <algorithm>
-#include <cctype>
-
 namespace mpct::arch {
 
 std::string ConnectivityExpr::to_string() const {
   if (kind == SwitchKind::None) return "none";
   const char sep = kind == SwitchKind::Crossbar ? 'x' : '-';
   return left.to_string() + sep + right.to_string();
-}
-
-std::optional<ConnectivityExpr> ConnectivityExpr::parse(
-    std::string_view text) {
-  std::string lower(text);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) {
-                   return static_cast<char>(std::tolower(c));
-                 });
-  if (lower == "none") return ConnectivityExpr::none();
-
-  // Try every occurrence of a separator character; a split is valid when
-  // both sides parse as counts.  This disambiguates "24nx24n" (split at
-  // the 'x', not inside a count) and rejects garbage like "x64" or "n--".
-  for (std::size_t pos = 1; pos + 1 < lower.size(); ++pos) {
-    const char c = lower[pos];
-    if (c != 'x' && c != '-') continue;
-    const std::optional<Count> lhs = Count::parse(lower.substr(0, pos));
-    const std::optional<Count> rhs = Count::parse(lower.substr(pos + 1));
-    if (lhs && rhs) {
-      const SwitchKind kind =
-          c == 'x' ? SwitchKind::Crossbar : SwitchKind::Direct;
-      return ConnectivityExpr{kind, *lhs, *rhs};
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace mpct::arch

@@ -1,36 +1,6 @@
 #include "arch/count.hpp"
 
-#include <cctype>
-
 namespace mpct::arch {
-
-Count Count::fixed(std::int64_t value) {
-  Count c;
-  c.kind_ = Kind::Fixed;
-  c.value_ = value;
-  return c;
-}
-
-Count Count::symbolic(char symbol) {
-  Count c;
-  c.kind_ = Kind::Symbolic;
-  c.symbol_ = symbol;
-  return c;
-}
-
-Count Count::scaled_symbolic(std::int64_t factor, char symbol) {
-  Count c;
-  c.kind_ = Kind::ScaledSymbolic;
-  c.value_ = factor;
-  c.symbol_ = symbol;
-  return c;
-}
-
-Count Count::variable() {
-  Count c;
-  c.kind_ = Kind::Variable;
-  return c;
-}
 
 Multiplicity Count::multiplicity() const {
   switch (kind_) {
@@ -82,44 +52,6 @@ std::string Count::to_string() const {
       return "v";
   }
   return "?";
-}
-
-std::optional<Count> Count::parse(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-
-  const auto is_symbol = [](char c) {
-    const char lower = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return lower == 'n' || lower == 'm' || lower == 'v';
-  };
-
-  // Pure symbol.
-  if (text.size() == 1 && is_symbol(text[0])) {
-    const char lower =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(text[0])));
-    return lower == 'v' ? variable() : symbolic(lower);
-  }
-
-  // Leading digits, optionally followed by one symbol letter ("24n").
-  std::size_t i = 0;
-  while (i < text.size() &&
-         std::isdigit(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  if (i == 0) return std::nullopt;  // no digits and not a pure symbol
-  std::int64_t number = 0;
-  for (std::size_t j = 0; j < i; ++j) {
-    number = number * 10 + (text[j] - '0');
-    if (number > 1'000'000'000) return std::nullopt;  // implausible count
-  }
-  if (i == text.size()) return fixed(number);
-  if (i + 1 == text.size() && is_symbol(text[i])) {
-    const char lower =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(text[i])));
-    if (lower == 'v') return std::nullopt;  // "24v" is not a thing
-    if (number == 0) return std::nullopt;
-    return scaled_symbolic(number, lower);
-  }
-  return std::nullopt;
 }
 
 }  // namespace mpct::arch

@@ -24,13 +24,6 @@ std::string WireError::to_string() const {
   return out;
 }
 
-void Encoder::patch_u32(std::size_t offset, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out_[offset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
 void Decoder::fail(WireErrorCode code, std::string message) {
   if (failed_) return;  // first failure wins
   failed_ = true;

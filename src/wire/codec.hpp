@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -45,49 +47,71 @@ struct WireError {
   friend bool operator==(const WireError&, const WireError&) = default;
 };
 
-/// Append-only little-endian byte writer.  All multi-byte integers are
-/// written LSB-first regardless of host endianness; doubles travel as
-/// their IEEE-754 bit pattern, so encode/decode round-trips are
-/// bit-identical across conforming hosts.
+/// Little-endian byte writer that runs twice over the same calls.  A
+/// sizing encoder (default-constructed) writes nothing and only counts;
+/// a writing encoder is built with that count and stores every field
+/// with memcpy into one buffer allocated up front, so a frame is built
+/// once at its final size (capacity() == size()) without regrowth.
+/// Multi-byte integers are LSB-first regardless of host endianness;
+/// doubles travel as their IEEE-754 bit pattern, so encode/decode
+/// round-trips are bit-identical across conforming hosts.
 class Encoder {
  public:
-  void u8(std::uint8_t value) { out_.push_back(value); }
-  void u16(std::uint16_t value) { put_le(value, 2); }
-  void u32(std::uint32_t value) { put_le(value, 4); }
-  void u64(std::uint64_t value) { put_le(value, 8); }
+  /// Sizing pass: every write only advances size().
+  Encoder() = default;
+  /// Writing pass into exactly @p size bytes — what a sizing pass over
+  /// the same writes counted.
+  explicit Encoder(std::size_t size) : out_(size) {}
+
+  void u8(std::uint8_t value) { put(&value, 1); }
+  void u16(std::uint16_t value) { put_le(value); }
+  void u32(std::uint32_t value) { put_le(value); }
+  void u64(std::uint64_t value) { put_le(value); }
   void i32(std::int32_t value) { u32(static_cast<std::uint32_t>(value)); }
   void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
-  void f64(double value) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    u64(bits);
-  }
+  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
   void boolean(bool value) { u8(value ? 1 : 0); }
   /// u32 byte length followed by the raw bytes.
   void str(std::string_view text) {
     u32(static_cast<std::uint32_t>(text.size()));
-    out_.insert(out_.end(), text.begin(), text.end());
+    put(text.data(), text.size());
   }
   /// u32 element count (the elements follow via the caller).
   void length(std::size_t count) { u32(static_cast<std::uint32_t>(count)); }
 
-  std::size_t size() const { return out_.size(); }
-  /// Overwrite 4 bytes at @p offset with @p value (little-endian) —
-  /// used to back-patch the frame header's payload length.
-  void patch_u32(std::size_t offset, std::uint32_t value);
+  /// Bytes counted (sizing pass) or written (writing pass) so far.
+  std::size_t size() const { return pos_; }
 
-  const std::vector<std::uint8_t>& bytes() const { return out_; }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-
- private:
-  void put_le(std::uint64_t value, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
+  /// The finished buffer of a writing pass, which must have written
+  /// exactly the size it was built with.
+  std::vector<std::uint8_t> take() {
+    assert(pos_ == out_.size() && "sizing and writing passes disagree");
+    return std::move(out_);
   }
 
-  std::vector<std::uint8_t> out_;
+ private:
+  template <typename T>
+  void put_le(T value) {
+    if constexpr (std::endian::native == std::endian::little) {
+      put(&value, sizeof(value));
+    } else {
+      std::uint8_t bytes[sizeof(T)];
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+      }
+      put(bytes, sizeof(T));
+    }
+  }
+  void put(const void* bytes, std::size_t count) {
+    if (!out_.empty() && count != 0) {
+      assert(pos_ + count <= out_.size() && "write past the sized frame");
+      std::memcpy(out_.data() + pos_, bytes, count);
+    }
+    pos_ += count;
+  }
+
+  std::vector<std::uint8_t> out_;  ///< empty on a sizing pass
+  std::size_t pos_ = 0;
 };
 
 /// Bounds-checked little-endian reader over a caller-owned buffer.

@@ -938,17 +938,42 @@ std::shared_ptr<const service::ResponsePayload> decode_payload(
 // Frame header
 
 void encode_header(Encoder& e, FrameKind kind, std::uint64_t request_id,
-                   std::uint16_t version, std::uint64_t trace_id) {
+                   std::uint16_t version, std::uint64_t trace_id,
+                   std::size_t payload_size) {
   e.u32(kMagic);
   e.u16(version);
   e.u8(static_cast<std::uint8_t>(kind));
   e.u8(0);  // reserved
   e.u64(request_id);
-  e.u32(0);  // payload size, back-patched once the payload is written
+  e.u32(static_cast<std::uint32_t>(payload_size));
   if (version >= 2) e.u64(trace_id);
 }
 
-constexpr std::size_t kPayloadSizeOffset = 16;
+/// Build one frame size-first: @p payload runs once on a sizing encoder
+/// to count the payload bytes, then once more on a writing encoder
+/// allocated at the exact frame size, right after the header that
+/// carries that count.  Each message is described once, by @p payload.
+template <typename Payload>
+std::vector<std::uint8_t> encode_frame(FrameKind kind,
+                                       std::uint64_t request_id,
+                                       std::uint16_t version,
+                                       std::uint64_t trace_id,
+                                       const Payload& payload) {
+  Encoder sizer;
+  payload(sizer);
+  const std::size_t payload_size = sizer.size();
+  Encoder e(header_size(version) + payload_size);
+  encode_header(e, kind, request_id, version, trace_id, payload_size);
+  payload(e);
+  return e.take();
+}
+
+std::vector<std::uint8_t> encode_header_only_frame(FrameKind kind,
+                                                   std::uint64_t request_id,
+                                                   std::uint16_t version,
+                                                   std::uint64_t trace_id) {
+  return encode_frame(kind, request_id, version, trace_id, [](Encoder&) {});
+}
 
 /// Bytes of kMagic in wire (little-endian) order — "MPCT".
 constexpr std::uint8_t kMagicBytes[4] = {
@@ -1050,94 +1075,77 @@ std::vector<std::uint8_t> encode_request_frame(
     std::uint64_t request_id, const service::Request& request,
     std::uint32_t deadline_ms, std::uint16_t version, std::uint64_t trace_id,
     std::optional<qos::PriorityClass> priority) {
-  Encoder e;
-  encode_header(e, FrameKind::Request, request_id, version, trace_id);
-  const std::size_t payload_start = e.size();
-  e.u32(deadline_ms);
-  encode(e, request);
-  if (version >= 2) {
-    // Trailing QoS extension: a single priority byte.  Decoders treat
-    // its absence as "use the request type's default", so pre-extension
-    // v2 peers interoperate unchanged.
-    e.u8(static_cast<std::uint8_t>(
-        priority.value_or(qos::default_priority(request))));
-  }
-  e.patch_u32(kPayloadSizeOffset,
-              static_cast<std::uint32_t>(e.size() - payload_start));
-  return e.take();
+  return encode_frame(
+      FrameKind::Request, request_id, version, trace_id, [&](Encoder& e) {
+        e.u32(deadline_ms);
+        encode(e, request);
+        if (version >= 2) {
+          // Trailing QoS extension: a single priority byte.  Decoders
+          // treat its absence as "use the request type's default", so
+          // pre-extension v2 peers interoperate unchanged.
+          e.u8(static_cast<std::uint8_t>(
+              priority.value_or(qos::default_priority(request))));
+        }
+      });
 }
 
 std::vector<std::uint8_t> encode_response_frame(
     std::uint64_t request_id, const service::QueryResponse& response,
     std::uint16_t version, std::uint64_t trace_id) {
-  Encoder e;
-  encode_header(e, FrameKind::Response, request_id, version, trace_id);
-  const std::size_t payload_start = e.size();
-  encode(e, response.status);
-  e.boolean(response.cache_hit);
-  e.i64(response.latency.count());
-  encode_payload(e, response);
-  if (version >= 2) {
-    // Trailing QoS extension: one flags byte (bit 0 = sampled, i.e.
-    // precision was shed) + the Overloaded retry-after hint in ms.
-    // Absent on frames from pre-extension peers; decoders then default
-    // to full precision and no hint.
-    e.u8(response.sampled ? 1 : 0);
-    e.u32(response.status.retry_after_ms);
-  }
-  e.patch_u32(kPayloadSizeOffset,
-              static_cast<std::uint32_t>(e.size() - payload_start));
-  return e.take();
+  return encode_frame(
+      FrameKind::Response, request_id, version, trace_id, [&](Encoder& e) {
+        encode(e, response.status);
+        e.boolean(response.cache_hit);
+        e.i64(response.latency.count());
+        encode_payload(e, response);
+        if (version >= 2) {
+          // Trailing QoS extension: one flags byte (bit 0 = sampled, i.e.
+          // precision was shed) + the Overloaded retry-after hint in ms.
+          // Absent on frames from pre-extension peers; decoders then
+          // default to full precision and no hint.
+          e.u8(response.sampled ? 1 : 0);
+          e.u32(response.status.retry_after_ms);
+        }
+      });
 }
 
 std::vector<std::uint8_t> encode_ping_frame(std::uint64_t request_id) {
-  Encoder e;
-  encode_header(e, FrameKind::Ping, request_id, kProtocolVersion, 0);
-  return e.take();
+  return encode_header_only_frame(FrameKind::Ping, request_id,
+                                  kProtocolVersion, 0);
 }
 
 std::vector<std::uint8_t> encode_pong_frame(std::uint64_t request_id) {
-  Encoder e;
-  encode_header(e, FrameKind::Pong, request_id, kProtocolVersion, 0);
-  return e.take();
+  return encode_header_only_frame(FrameKind::Pong, request_id,
+                                  kProtocolVersion, 0);
 }
+
+// Hello and HelloAck use a v1 header on purpose: the handshake that
+// *selects* a version must be readable at every version.
 
 std::vector<std::uint8_t> encode_hello_frame(std::uint64_t request_id,
                                              std::uint16_t min_version,
                                              std::uint16_t max_version) {
-  Encoder e;
-  // v1 header on purpose: the handshake that *selects* a version must be
-  // readable at every version.
-  encode_header(e, FrameKind::Hello, request_id, 1, 0);
-  const std::size_t payload_start = e.size();
-  e.u16(min_version);
-  e.u16(max_version);
-  e.patch_u32(kPayloadSizeOffset,
-              static_cast<std::uint32_t>(e.size() - payload_start));
-  return e.take();
+  return encode_frame(FrameKind::Hello, request_id, 1, 0, [&](Encoder& e) {
+    e.u16(min_version);
+    e.u16(max_version);
+  });
 }
 
 std::vector<std::uint8_t> encode_hello_ack_frame(std::uint64_t request_id,
                                                  const service::Status& status,
                                                  std::uint16_t agreed_version) {
-  Encoder e;
-  encode_header(e, FrameKind::HelloAck, request_id, 1, 0);
-  const std::size_t payload_start = e.size();
-  encode(e, status);
-  e.u16(agreed_version);
-  e.patch_u32(kPayloadSizeOffset,
-              static_cast<std::uint32_t>(e.size() - payload_start));
-  return e.take();
+  return encode_frame(FrameKind::HelloAck, request_id, 1, 0, [&](Encoder& e) {
+    encode(e, status);
+    e.u16(agreed_version);
+  });
 }
 
 std::vector<std::uint8_t> encode_cancel_frame(std::uint64_t request_id,
                                               std::uint64_t trace_id) {
-  Encoder e;
   // Always a v2 header: cancellation is a v2 feature and scan_frame
   // rejects the kind at v1, so there is nothing to encode for v1 peers.
-  encode_header(e, FrameKind::CancelRequest, request_id, kProtocolVersion,
-                trace_id);
-  return e.take();
+  return encode_header_only_frame(FrameKind::CancelRequest, request_id,
+                                  kProtocolVersion, trace_id);
 }
 
 DecodeResult<CancelFrame> decode_cancel_frame(const std::uint8_t* data,
@@ -1171,28 +1179,25 @@ DecodeResult<CancelFrame> decode_cancel_frame(const std::uint8_t* data,
 
 std::vector<std::uint8_t> encode_span_batch_frame(
     std::uint64_t request_id, const trace::SpanBatch& batch) {
-  Encoder e;
-  encode_header(e, FrameKind::SpanBatch, request_id, kProtocolVersion, 0);
-  const std::size_t payload_start = e.size();
-  e.str(batch.node);
-  e.i64(batch.send_ns);
-  e.u64(batch.dropped);
-  e.length(batch.spans.size());
-  for (const trace::ExportSpan& span : batch.spans) {
-    e.str(span.name);
-    e.str(span.arg_name);
-    e.i64(span.arg);
-    e.u64(span.id);
-    e.u64(span.parent);
-    e.u64(span.trace_id);
-    e.u32(span.thread);
-    e.u8(static_cast<std::uint8_t>(span.category));
-    e.i64(span.start_ns);
-    e.i64(span.dur_ns);
-  }
-  e.patch_u32(kPayloadSizeOffset,
-              static_cast<std::uint32_t>(e.size() - payload_start));
-  return e.take();
+  return encode_frame(
+      FrameKind::SpanBatch, request_id, kProtocolVersion, 0, [&](Encoder& e) {
+        e.str(batch.node);
+        e.i64(batch.send_ns);
+        e.u64(batch.dropped);
+        e.length(batch.spans.size());
+        for (const trace::ExportSpan& span : batch.spans) {
+          e.str(span.name);
+          e.str(span.arg_name);
+          e.i64(span.arg);
+          e.u64(span.id);
+          e.u64(span.parent);
+          e.u64(span.trace_id);
+          e.u32(span.thread);
+          e.u8(static_cast<std::uint8_t>(span.category));
+          e.i64(span.start_ns);
+          e.i64(span.dur_ns);
+        }
+      });
 }
 
 DecodeResult<SpanBatchFrame> decode_span_batch_frame(const std::uint8_t* data,

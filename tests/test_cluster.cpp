@@ -501,6 +501,92 @@ TEST(CombiningProxyTest, MergedSweepsAreBitIdenticalToASingleServer) {
   EXPECT_FALSE(proxy.running());
 }
 
+Request grid_request(std::vector<std::int64_t> n_values,
+                     std::vector<std::int64_t> lut_budgets,
+                     std::size_t objectives) {
+  service::SweepRequest req;
+  req.grid.base.min_flexibility = 1;
+  req.grid.n_values = std::move(n_values);
+  req.grid.lut_budgets = std::move(lut_budgets);
+  req.grid.objectives = {explore::Requirements::Objective::MinConfigBits,
+                         explore::Requirements::Objective::MinArea};
+  req.grid.objectives.resize(objectives);
+  return req;
+}
+
+TEST(CombiningProxyTest, MergeParityOnEdgeShapes) {
+  // The merge releases each chunk as soon as it is appended; whatever the
+  // chunk layout, the merged answer must still equal one engine's, bit
+  // for bit (points in order, Pareto front, candidate count).
+  Fleet fleet(2);
+  cluster::ProxyOptions poptions;
+  poptions.cluster = cluster_options(fleet.endpoints());
+  poptions.cluster.enable_hedging = false;  // one RPC per chunk
+  poptions.worker_threads = 2;
+  poptions.enable_pinger = false;
+  CombiningProxy proxy(poptions);
+  ASSERT_TRUE(proxy.start()) << proxy.error();
+  const std::uint64_t max_chunks = 2 * poptions.chunks_per_endpoint;
+
+  service::EngineOptions ref_options;
+  ref_options.worker_threads = 0;
+  service::QueryEngine reference(ref_options);
+
+  net::ClientOptions copts;
+  copts.port = proxy.port();
+  net::Client client(copts);
+
+  std::vector<std::int64_t> wide_n;
+  for (int i = 0; i < 64; ++i) wide_n.push_back(4 + 2 * i);
+  std::vector<std::int64_t> wide_luts;
+  for (int i = 0; i < 11; ++i) wide_luts.push_back(96 << i);
+
+  service::FaultSweepRequest ragged =
+      std::get<service::FaultSweepRequest>(fault_sweep_request());
+  ragged.spec.fault_rates = {0.0, 0.1, 0.3};
+  ragged.spec.trials_per_rate = 7;
+  ASSERT_NE(ragged.spec.cell_count() % max_chunks, 0u);
+
+  struct Case {
+    const char* name;
+    Request request;
+    std::uint64_t cells;
+    std::uint64_t chunks;  ///< backend RPCs the proxy must issue
+  };
+  const Case cases[] = {
+      // 4 cells, each its own grid row, so one per chunk.
+      {"4-cell grid", grid_request({4, 8, 12, 16}, {256}, 1), 4, 4},
+      // One grid row: row-aligned chunking cannot split it, so the
+      // proxy sends fewer chunks than endpoints x chunks_per_endpoint.
+      {"one-row grid", grid_request({32}, {128, 512, 2048}, 2), 6, 1},
+      {"1408-cell grid", grid_request(wide_n, wide_luts, 2), 1408, 4},
+      {"ragged curve", ragged, 21, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::uint64_t sent_before = proxy.metrics().net_requests_sent.value();
+    const QueryResponse merged = client.call(c.request);
+    ASSERT_TRUE(merged.ok()) << merged.status.to_string();
+    EXPECT_EQ(proxy.metrics().net_requests_sent.value() - sent_before,
+              c.chunks);
+    const QueryResponse single = reference.execute(c.request);
+    ASSERT_TRUE(single.ok());
+    expect_payload_parity(merged, single);
+    if (const service::SweepResponse* sweep = merged.sweep()) {
+      EXPECT_EQ(sweep->result.points.size(), c.cells);
+      EXPECT_FALSE(sweep->result.pareto_front.empty());
+      EXPECT_EQ(sweep->result.pareto_front, single.sweep()->result.pareto_front);
+      EXPECT_EQ(sweep->result.candidate_classes,
+                single.sweep()->result.candidate_classes);
+    } else {
+      ASSERT_NE(merged.fault_sweep(), nullptr);
+      EXPECT_EQ(merged.fault_sweep()->result.points.size(),
+                ragged.spec.fault_rates.size());
+    }
+  }
+  proxy.stop();
+}
+
 TEST(CombiningProxyTest, RepeatedSweepChunksHitTheBackendCaches) {
   Fleet fleet(2);
   cluster::ProxyOptions poptions;
