@@ -10,8 +10,8 @@
 #include "cluster/client.hpp"
 #include "cluster/health.hpp"
 #include "net/server.hpp"
+#include "qos/wfq_queue.hpp"
 #include "service/metrics.hpp"
-#include "service/queue.hpp"
 #include "service/request.hpp"
 
 namespace mpct::cluster {
@@ -27,10 +27,6 @@ struct ProxyOptions {
   /// Worker threads, each owning one ClusterClient.
   std::size_t worker_threads = 4;
   std::size_t queue_capacity = 256;
-  /// Sweep scatter factor: a sweep splits into about
-  /// endpoints x this many chunks, so the fleet can balance even when
-  /// backends run at different speeds.
-  std::size_t chunks_per_endpoint = 2;
   /// Run a background HealthPinger against the fleet.
   bool enable_pinger = true;
 };
@@ -39,10 +35,12 @@ struct ProxyOptions {
 ///
 /// Speaks the same wire protocol as net::Server, so any net::Client can
 /// point at the proxy unchanged.  Grid-shaped requests (SweepRequest,
-/// FaultSweepRequest) are split into disjoint flat-index chunk requests
+/// FaultSweepRequest) are split by split_range into at most
+/// kChunksPerExecutor x endpoints disjoint flat-index chunk requests
 /// (SweepChunkRequest / FaultChunkRequest, wire v2), scattered across
-/// the fleet via ClusterClient::call_many, and merged with *exactly*
-/// the engine's own completion logic:
+/// the fleet via ClusterClient::call_many — so the fleet can balance
+/// even when backends run at different speeds — and merged with
+/// *exactly* the engine's own completion logic:
 ///
 ///  * sweep — chunk points concatenate in index order,
 ///    pareto_front(points) recomputes the front, candidate_classes
@@ -105,22 +103,13 @@ class CombiningProxy {
                                 service::Deadline deadline,
                                 std::uint64_t trace_id,
                                 qos::PriorityClass priority);
-  service::QueryResponse scatter_sweep(ClusterClient& cluster,
-                                       const service::SweepRequest& request,
-                                       service::Deadline deadline,
-                                       std::uint64_t trace_id,
-                                       qos::PriorityClass priority);
-  service::QueryResponse scatter_fault(ClusterClient& cluster,
-                                       const service::FaultSweepRequest& request,
-                                       service::Deadline deadline,
-                                       std::uint64_t trace_id,
-                                       qos::PriorityClass priority);
 
   ProxyOptions options_;
   service::MetricsRegistry metrics_;
   HealthTracker tracker_;
   std::unique_ptr<HealthPinger> pinger_;
-  service::BoundedQueue<ProxyTask> queue_;
+  /// One class only: a plain bounded FIFO.
+  qos::WfqQueue<ProxyTask> queue_;
   std::vector<std::thread> workers_;
   std::unique_ptr<net::Server> server_;
   std::string error_;

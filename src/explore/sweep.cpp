@@ -5,6 +5,7 @@
 #include <span>
 #include <thread>
 
+#include "core/split_range.hpp"
 #include "trace/trace.hpp"
 
 namespace mpct::explore {
@@ -346,15 +347,11 @@ SweepResult sweep(const SweepGrid& grid, const cost::ComponentLibrary& lib,
     // range, so no synchronization beyond join() is needed.
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    const std::size_t row = evaluator.row_cells();
-    std::size_t chunk = (cells + workers - 1) / workers;
-    chunk = (chunk + row - 1) / row * row;
-    for (std::size_t w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min(w * chunk, cells);
-      const std::size_t end = std::min(begin + chunk, cells);
-      if (begin == end) break;
-      pool.emplace_back([&evaluator, &result, begin, end] {
-        evaluator.evaluate_range(begin, end, result.points.data() + begin);
+    for (const IndexRange range :
+         split_range(cells, workers, evaluator.row_cells())) {
+      pool.emplace_back([&evaluator, &result, range] {
+        evaluator.evaluate_range(range.begin, range.end,
+                                 result.points.data() + range.begin);
       });
     }
     for (std::thread& t : pool) t.join();

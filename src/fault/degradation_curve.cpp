@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/flexibility.hpp"
+#include "core/split_range.hpp"
 #include "fault/route_around.hpp"
 #include "report/csv.hpp"
 #include "report/svg.hpp"
@@ -180,13 +181,10 @@ CurveResult evaluate_curve(const CurveSpec& spec,
     // Contiguous disjoint slices; each worker writes only its own range.
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    const std::size_t chunk = (cells + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min<std::size_t>(w * chunk, cells);
-      const std::size_t end = std::min<std::size_t>(begin + chunk, cells);
-      if (begin == end) break;
-      pool.emplace_back([&evaluator, &outcomes, begin, end] {
-        evaluator.evaluate_range(begin, end, outcomes.data() + begin);
+    for (const IndexRange range : split_range(cells, workers, 1)) {
+      pool.emplace_back([&evaluator, &outcomes, range] {
+        evaluator.evaluate_range(range.begin, range.end,
+                                 outcomes.data() + range.begin);
       });
     }
     for (std::thread& t : pool) t.join();

@@ -6,6 +6,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,10 +34,10 @@ struct WfqWeights {
 };
 
 /// Weighted-fair bounded MPMC queue: one bounded FIFO subqueue per
-/// PriorityClass, drained by deficit round robin.  Replaces the
-/// engine's single BoundedQueue so a flood of Batch sweeps can no
-/// longer starve Interactive classifies, while preserving the old
-/// queue's contract exactly when only one class is in use:
+/// PriorityClass, drained by deficit round robin, so a flood of Batch
+/// sweeps cannot starve Interactive classifies.  With only one class in
+/// use it is a plain bounded FIFO (the proxy's task queue, and the
+/// engine's with QoS off):
 ///
 /// - try_push(cls, item) never blocks; it returns false (leaving the
 ///   item untouched) when that class's subqueue is full or the queue is
@@ -64,14 +65,24 @@ class WfqQueue {
   /// Attempt to enqueue without blocking.  On failure the item is left
   /// untouched so the caller still owns its state (promise, callback).
   bool try_push(PriorityClass cls, T& item) {
+    return try_push(cls, std::span<T>(&item, 1));
+  }
+
+  /// All-or-nothing try_push: every item is enqueued, in order, or —
+  /// when they do not all fit — none is and all are left untouched.
+  bool try_push(PriorityClass cls, std::span<T> items) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       std::deque<T>& queue = queues_[index(cls)];
-      if (closed_ || queue.size() >= capacity_) return false;
-      queue.push_back(std::move(item));
-      ++total_;
+      if (closed_ || queue.size() + items.size() > capacity_) return false;
+      for (T& item : items) queue.push_back(std::move(item));
+      total_ += items.size();
     }
-    not_empty_.notify_one();
+    if (items.size() == 1) {
+      not_empty_.notify_one();
+    } else {
+      not_empty_.notify_all();
+    }
     return true;
   }
 
@@ -147,8 +158,7 @@ class WfqQueue {
     return !closed_ && queues_[index(cls)].size() + count <= capacity_;
   }
 
-  /// Per-class capacity (mirrors BoundedQueue::capacity() when a single
-  /// class is in use).
+  /// Per-class capacity.
   std::size_t capacity() const { return capacity_; }
 
   /// Queue fill of the fullest class, in [0, 1] — the admission

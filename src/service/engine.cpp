@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "arch/adl_parser.hpp"
+#include "core/split_range.hpp"
 #include "cost/area_model.hpp"
 #include "cost/config_bits.hpp"
 #include "explore/recommend.hpp"
@@ -12,6 +13,44 @@
 #include "trace/trace.hpp"
 
 namespace mpct::service {
+
+/// Per-kind part of a flat-range job: all that a sweep (Table II
+/// scoring over an (n, LUT budget, objective) grid) and a fault curve
+/// (a (fault rate x trial) Monte-Carlo grid) do differently.  Both
+/// evaluate a flat cell range in disjoint slices — concurrently, each
+/// into its own part of one pre-sized output — and then reduce it once
+/// in index order.  The pool's RangeJob, the inline execute() path and
+/// the chunk executors all drive a request through one of these.
+class RangeKind {
+ public:
+  RangeKind(RequestType kind_type, const char* chunk_span_name,
+            const char* merge_span_name)
+      : type(kind_type),
+        chunk_span(chunk_span_name),
+        merge_span(merge_span_name) {}
+  virtual ~RangeKind() = default;
+
+  const RequestType type;
+  /// Static-storage span names (trace span names must outlive the
+  /// tracer, so no runtime concatenation).
+  const char* const chunk_span;
+  const char* const merge_span;
+
+  virtual std::size_t cells() const = 0;
+  /// Split granularity: one grid row for a sweep, 1 for a curve.
+  virtual std::size_t grain() const = 0;
+  /// Size the output for cells [first, last): the whole request, or the
+  /// one range a chunk request names.
+  virtual void open(std::size_t first, std::size_t last) = 0;
+  /// Evaluate cells [begin, end) of the opened range into their slice
+  /// of the output; concurrent calls name disjoint ranges.
+  virtual void evaluate(std::size_t begin, std::size_t end) = 0;
+  /// The whole request's payload, reduced from the output in index
+  /// order; the output is moved out or freed, never copied.
+  virtual ResponsePayload finish() = 0;
+  /// The opened range as a chunk payload; moves the output out.
+  virtual ResponsePayload finish_chunk() = 0;
+};
 
 namespace {
 
@@ -120,23 +159,6 @@ Status validate_sweep(const explore::SweepGrid& grid) {
   return Status::okay();
 }
 
-/// Sequential sweep — the inline (worker_threads == 0) and execute()
-/// paths; the worker pool goes through submit_sweep() instead.
-QueryResponse execute_sweep(const SweepRequest& request,
-                            const cost::ComponentLibrary& library) {
-  QueryResponse response;
-  Status valid = validate_sweep(request.grid);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  SweepResponse payload;
-  payload.result = explore::sweep(request.grid, library);
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
-  return response;
-}
-
 Status validate_curve(const fault::CurveSpec& spec) {
   for (double rate : spec.fault_rates) {
     if (!(rate >= 0.0 && rate <= 1.0)) {
@@ -159,23 +181,6 @@ Status validate_curve(const fault::CurveSpec& spec) {
   return Status::okay();
 }
 
-/// Sequential curve — the inline (worker_threads == 0) and execute()
-/// paths; the worker pool goes through submit_fault_sweep() instead.
-QueryResponse execute_fault_sweep(const FaultSweepRequest& request,
-                                  const cost::ComponentLibrary& library) {
-  QueryResponse response;
-  Status valid = validate_curve(request.spec);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  FaultSweepResponse payload;
-  payload.result = fault::evaluate_curve(request.spec, library);
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
-  return response;
-}
-
 Status validate_chunk_range(std::string_view what, std::uint64_t begin,
                             std::uint64_t end, std::uint64_t cells) {
   if (begin >= end || end > cells) {
@@ -187,60 +192,154 @@ Status validate_chunk_range(std::string_view what, std::uint64_t begin,
   return Status::okay();
 }
 
-/// One disjoint cell range of a sweep, executed on a single worker — how
-/// the cluster proxy scatters a grid across backends.  Unlike a full
-/// SweepRequest this goes through the normal cached single-task path, so
-/// a repeated chunk (same grid, same range) is a cache hit on the server
-/// that owns it on the consistent-hash ring.
-QueryResponse execute_sweep_chunk(const SweepChunkRequest& request,
-                                  const cost::ComponentLibrary& library) {
-  QueryResponse response;
-  Status valid = validate_sweep(request.grid);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
+class SweepKind final : public RangeKind {
+ public:
+  SweepKind(const explore::SweepGrid& grid,
+            const cost::ComponentLibrary& library)
+      : RangeKind(RequestType::Sweep, "sweep.chunk", "sweep.merge"),
+        evaluator_(grid, library) {}
+
+  std::size_t cells() const override { return evaluator_.cell_count(); }
+  /// Whole grid rows, so every chunk runs the evaluator's batch kernel
+  /// end to end (a split row falls back to the scalar edge path —
+  /// correct, just slower).
+  std::size_t grain() const override { return evaluator_.row_cells(); }
+  void open(std::size_t first, std::size_t last) override {
+    first_ = first;
+    points_.resize(last - first);
   }
-  explore::SweepEvaluator evaluator(request.grid, library);
-  valid = validate_chunk_range("sweep_chunk", request.begin, request.end,
-                               evaluator.cell_count());
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
+  void evaluate(std::size_t begin, std::size_t end) override {
+    evaluator_.evaluate_range(begin, end, points_.data() + (begin - first_));
   }
-  SweepChunkResponse payload;
-  payload.points.resize(request.end - request.begin);
-  evaluator.evaluate_range(request.begin, request.end, payload.points.data());
-  payload.candidate_classes = evaluator.candidate_count();
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
-  return response;
+  /// Moves the points into the payload and computes the Pareto front.
+  ResponsePayload finish() override {
+    SweepResponse payload;
+    payload.result.candidate_classes = evaluator_.candidate_count();
+    payload.result.points = std::move(points_);
+    payload.result.pareto_front = explore::pareto_front(payload.result.points);
+    return payload;
+  }
+  ResponsePayload finish_chunk() override {
+    SweepChunkResponse payload;
+    payload.points = std::move(points_);
+    payload.candidate_classes = evaluator_.candidate_count();
+    return payload;
+  }
+
+ private:
+  explore::SweepEvaluator evaluator_;
+  std::vector<explore::SweepPoint> points_;
+  std::size_t first_ = 0;
+};
+
+class CurveKind final : public RangeKind {
+ public:
+  CurveKind(const fault::CurveSpec& spec,
+            const cost::ComponentLibrary& library)
+      : RangeKind(RequestType::FaultSweep, "fault.chunk", "fault.merge"),
+        evaluator_(spec, library) {}
+
+  std::size_t cells() const override { return evaluator_.cell_count(); }
+  std::size_t grain() const override { return 1; }
+  void open(std::size_t first, std::size_t last) override {
+    first_ = first;
+    outcomes_.resize(last - first);
+  }
+  void evaluate(std::size_t begin, std::size_t end) override {
+    evaluator_.evaluate_range(begin, end,
+                              outcomes_.data() + (begin - first_));
+  }
+  /// The sequential index-order reduction (CurveEvaluator::finalize),
+  /// so the curve is bit-identical however the cells were chunked; the
+  /// outcomes are freed on return.
+  ResponsePayload finish() override {
+    const std::vector<fault::TrialOutcome> outcomes = std::move(outcomes_);
+    FaultSweepResponse payload;
+    payload.result.spec = evaluator_.spec();
+    payload.result.points = evaluator_.finalize(outcomes);
+    return payload;
+  }
+  ResponsePayload finish_chunk() override {
+    FaultChunkResponse payload;
+    payload.outcomes = std::move(outcomes_);
+    return payload;
+  }
+
+ private:
+  fault::CurveEvaluator evaluator_;
+  std::vector<fault::TrialOutcome> outcomes_;
+  std::size_t first_ = 0;
+};
+
+/// The grid a Sweep or SweepChunk request carries; null otherwise.
+const explore::SweepGrid* sweep_grid(const Request& request) {
+  if (const auto* whole = std::get_if<SweepRequest>(&request)) {
+    return &whole->grid;
+  }
+  if (const auto* chunk = std::get_if<SweepChunkRequest>(&request)) {
+    return &chunk->grid;
+  }
+  return nullptr;
 }
 
-/// One disjoint (rate x trial) cell range of a degradation curve.  The
-/// chunk carries the full spec because each trial's RNG stream derives
-/// from its flat cell index over the whole spec — so outcomes are
+/// The spec a FaultSweep or FaultChunk request carries.
+const fault::CurveSpec& curve_spec(const Request& request) {
+  if (const auto* chunk = std::get_if<FaultChunkRequest>(&request)) {
+    return chunk->spec;
+  }
+  return std::get<FaultSweepRequest>(request).spec;
+}
+
+/// Validation of a range request (a Sweep, FaultSweep or a chunk of
+/// either) — the grid's or the spec's, never the cell range's.
+Status validate_range(const Request& request) {
+  if (const explore::SweepGrid* grid = sweep_grid(request)) {
+    return validate_sweep(*grid);
+  }
+  return validate_curve(curve_spec(request));
+}
+
+std::unique_ptr<RangeKind> make_range_kind(
+    const Request& request, const cost::ComponentLibrary& library) {
+  if (const explore::SweepGrid* grid = sweep_grid(request)) {
+    return std::make_unique<SweepKind>(*grid, library);
+  }
+  return std::make_unique<CurveKind>(curve_spec(request), library);
+}
+
+/// A range request evaluated on the calling thread.  A whole Sweep or
+/// FaultSweep is the inline (worker_threads == 0) and execute() path;
+/// the worker pool chunks it through submit_range() instead.  A
+/// SweepChunk or FaultChunk is one disjoint cell range — how the
+/// cluster proxy scatters a request across backends.  Unlike a whole
+/// request it goes through the normal cached single-task path, so a
+/// repeated chunk (same grid, same range) is a cache hit on the server
+/// that owns it on the consistent-hash ring.  The chunk carries the
+/// full grid or spec because each cell (and each trial's RNG stream)
+/// derives from its flat index over the whole request — so outcomes are
 /// bit-identical to the same cells of a single-server evaluation.
-QueryResponse execute_fault_chunk(const FaultChunkRequest& request,
-                                  const cost::ComponentLibrary& library) {
+QueryResponse execute_range(const Request& request,
+                            const cost::ComponentLibrary& library) {
+  Status valid = validate_range(request);
+  if (!valid.ok()) return rejected(std::move(valid));
+  const std::unique_ptr<RangeKind> kind = make_range_kind(request, library);
+  std::uint64_t begin = 0;
+  std::uint64_t end = kind->cells();
+  const auto* sweep_chunk = std::get_if<SweepChunkRequest>(&request);
+  const auto* fault_chunk = std::get_if<FaultChunkRequest>(&request);
+  const bool chunk = sweep_chunk != nullptr || fault_chunk != nullptr;
+  if (chunk) {
+    begin = sweep_chunk ? sweep_chunk->begin : fault_chunk->begin;
+    end = sweep_chunk ? sweep_chunk->end : fault_chunk->end;
+    valid = validate_chunk_range(to_string(request_type(request)), begin, end,
+                                 kind->cells());
+    if (!valid.ok()) return rejected(std::move(valid));
+  }
+  kind->open(begin, end);
+  kind->evaluate(begin, end);
   QueryResponse response;
-  Status valid = validate_curve(request.spec);
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  fault::CurveEvaluator evaluator(request.spec, library);
-  valid = validate_chunk_range("fault_chunk", request.begin, request.end,
-                               evaluator.cell_count());
-  if (!valid.ok()) {
-    response.status = std::move(valid);
-    return response;
-  }
-  FaultChunkResponse payload;
-  payload.outcomes.resize(request.end - request.begin);
-  evaluator.evaluate_range(request.begin, request.end,
-                           payload.outcomes.data());
-  response.payload =
-      std::make_shared<const ResponsePayload>(std::move(payload));
+  response.payload = std::make_shared<const ResponsePayload>(
+      chunk ? kind->finish_chunk() : kind->finish());
   return response;
 }
 
@@ -494,15 +593,10 @@ std::future<QueryResponse> QueryEngine::submit_impl(
     return resolve_ready(callback, std::move(response));
   }
 
-  if (auto* sweep_request = std::get_if<SweepRequest>(&request)) {
-    return submit_sweep(std::move(*sweep_request), deadline,
-                        std::move(callback), cls, degraded, strided,
-                        cancel_owner, cancel_id);
-  }
-  if (auto* fault_request = std::get_if<FaultSweepRequest>(&request)) {
-    return submit_fault_sweep(std::move(*fault_request), deadline,
-                              std::move(callback), cls, degraded, strided,
-                              cancel_owner, cancel_id);
+  const RequestType type = request_type(request);
+  if (type == RequestType::Sweep || type == RequestType::FaultSweep) {
+    return submit_range(request, deadline, std::move(callback), cls, degraded,
+                        strided, cancel_owner, cancel_id);
   }
 
   Task task;
@@ -521,27 +615,13 @@ std::future<QueryResponse> QueryEngine::submit_impl(
   std::future<QueryResponse> future;
   if (!task.callback) future = task.promise.get_future();
 
-  Status rejection;
-  {
-    trace::ScopedSpan enqueue("engine.enqueue", trace::Category::Engine);
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (shutdown_) {
-      metrics_.rejected_shutdown.add();
-      rejection = Status::shutting_down();
-    } else if (!queue_->try_push(enqueue_class(cls), task)) {
-      metrics_.rejected_queue_full.add();
-      rejection = Status::queue_full();
-    } else {
-      ++pending_;
-    }
-  }
+  Status rejection = enqueue(std::span<Task>(&task, 1), cls);
   if (!rejection.ok()) {
     if (task.cancel) cancels_.erase(task.cancel_owner, task.cancel_id);
     // Resolved after the lock is released so a callback can never run
     // while the engine's lifecycle mutex is held.
     return resolve_ready(task.callback, rejected(std::move(rejection)));
   }
-  metrics_.queue_depth.increment();
   return future;
 }
 
@@ -589,13 +669,8 @@ void QueryEngine::worker_loop() {
         trace::emit_span("queue.wait", trace::Category::Queue, task.enqueued,
                          Clock::now());
       }
-      if (task.sweep_job) {
-        run_sweep_chunk(task);
-        metrics_.in_flight.decrement();
-        continue;
-      }
-      if (task.curve_job) {
-        run_curve_chunk(task);
+      if (task.job) {
+        run_range_chunk(task);
         metrics_.in_flight.decrement();
         continue;
       }
@@ -619,7 +694,9 @@ void QueryEngine::worker_loop() {
 
 void QueryEngine::finish_task(Task& task, QueryResponse response) {
   if (task.cancel) cancels_.erase(task.cancel_owner, task.cancel_id);
-  if (task.callback) {
+  if (task.job) {
+    task.job->resolve(std::move(response));
+  } else if (task.callback) {
     task.callback(std::move(response));
   } else {
     task.promise.set_value(std::move(response));
@@ -631,11 +708,11 @@ void QueryEngine::finish_task(Task& task, QueryResponse response) {
   drained_.notify_all();
 }
 
-bool QueryEngine::SweepJob::fail(StatusCode code, std::string message) {
+bool QueryEngine::RangeJob::fail(StatusCode code, std::string message) {
   int expected = 0;
   if (fail_code.compare_exchange_strong(expected, static_cast<int>(code),
                                         std::memory_order_acq_rel)) {
-    // Only the winning CAS writes the message; complete_sweep() reads it
+    // Only the winning CAS writes the message; complete_range() reads it
     // after the final fetch_sub on `remaining` synchronizes with ours.
     fail_message = std::move(message);
     return true;
@@ -643,7 +720,7 @@ bool QueryEngine::SweepJob::fail(StatusCode code, std::string message) {
   return false;
 }
 
-void QueryEngine::SweepJob::resolve(QueryResponse response) {
+void QueryEngine::RangeJob::resolve(QueryResponse response) {
   if (callback) {
     callback(std::move(response));
   } else {
@@ -651,27 +728,39 @@ void QueryEngine::SweepJob::resolve(QueryResponse response) {
   }
 }
 
-std::future<QueryResponse> QueryEngine::submit_sweep(
-    SweepRequest request, Deadline deadline, ResponseCallback callback,
+Status QueryEngine::enqueue(std::span<Task> tasks, qos::PriorityClass cls) {
+  trace::ScopedSpan span("engine.enqueue", trace::Category::Engine);
+  std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+  if (shutdown_) {
+    metrics_.rejected_shutdown.add();
+    return Status::shutting_down();
+  }
+  if (!queue_->try_push(enqueue_class(cls), tasks)) {
+    metrics_.rejected_queue_full.add();
+    return Status::queue_full();
+  }
+  ++pending_;
+  metrics_.queue_depth.add(static_cast<std::int64_t>(tasks.size()));
+  return Status::okay();
+}
+
+std::future<QueryResponse> QueryEngine::submit_range(
+    const Request& request, Deadline deadline, ResponseCallback callback,
     qos::PriorityClass priority, bool degraded, bool strided,
     std::uint64_t cancel_owner, std::uint64_t cancel_id) {
   const Clock::time_point enqueued = Clock::now();
+  const RequestType type = request_type(request);
 
-  Status valid = validate_sweep(request.grid);
+  Status valid = validate_range(request);
   if (!valid.ok()) {
     metrics_.failed.add();
     return resolve_ready(callback, rejected(std::move(valid)));
   }
 
-  // Same key fingerprint(Request) computes, without re-wrapping the
-  // request: the type tag first, then the grid hash — so the inline and
+  // The key fingerprint(Request) computes, so the inline and
   // chunk-parallel paths share cache entries.  A strided (degraded)
-  // grid hashes differently, so it can only hit other degraded runs.
-  FingerprintBuilder key_builder;
-  key_builder.mix(static_cast<int>(RequestType::Sweep))
-      .mix(fingerprint(request.grid));
-  const Fingerprint key = key_builder.value();
-
+  // request hashes differently, so it can only hit other degraded runs.
+  const Fingerprint key = fingerprint(request);
   if (options_.enable_cache) {
     bool served_stale = false;
     std::shared_ptr<const ResponsePayload> hit;
@@ -688,87 +777,53 @@ std::future<QueryResponse> QueryEngine::submit_sweep(
       if (served_stale || strided) mark_degraded(response);
       response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
           Clock::now() - enqueued);
-      metrics_.latency(RequestType::Sweep).record(response.latency);
+      metrics_.latency(type).record(response.latency);
       metrics_.completed.add();
       return resolve_ready(callback, std::move(response));
     }
     metrics_.cache_misses.add();
   }
 
-  auto job = std::make_shared<SweepJob>(
-      explore::SweepEvaluator(request.grid, options_.library));
-  const std::size_t cells = job->evaluator.cell_count();
-  job->points.resize(cells);
+  auto job = std::make_shared<RangeJob>();
+  job->kind = make_range_kind(request, options_.library);
+  job->kind->open(0, job->kind->cells());
   job->key = key;
   job->enqueued = enqueued;
   job->trace_id = trace::current_trace_id();
   job->callback = std::move(callback);
   job->sampled = strided;
-  if (cancel_owner != 0 || cancel_id != 0) {
-    job->cancel = cancels_.add(cancel_owner, cancel_id);
-    job->cancel_owner = cancel_owner;
-    job->cancel_id = cancel_id;
-  }
   std::future<QueryResponse> future;
   if (!job->callback) future = job->promise.get_future();
-
-  // Aim for ~2 chunks per worker (load balance without queue churn), but
-  // never more chunks than the queue could ever hold.
-  std::size_t target_chunks =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   options_.worker_threads) * 2);
-  target_chunks = std::min(target_chunks,
-                           std::max<std::size_t>(1, queue_->capacity()));
-  std::size_t chunk_cells =
-      std::max<std::size_t>(1, (cells + target_chunks - 1) / target_chunks);
-  // Round up to whole grid rows so every chunk runs the evaluator's
-  // batch kernel end to end (a split row falls back to the scalar edge
-  // path — correct, just slower).
-  const std::size_t row = std::max<std::size_t>(1, job->evaluator.row_cells());
-  chunk_cells = (chunk_cells + row - 1) / row * row;
-  const std::size_t chunk_count = (cells + chunk_cells - 1) / chunk_cells;
-  job->remaining.store(chunk_count, std::memory_order_relaxed);
-
-  Status rejection;
-  {
-    trace::ScopedSpan enqueue("engine.enqueue", trace::Category::Engine);
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (shutdown_) {
-      metrics_.rejected_shutdown.add();
-      rejection = Status::shutting_down();
-    } else if (!queue_->has_room(enqueue_class(priority), chunk_count)) {
-      // All-or-nothing enqueue: pushes are serialized by lifecycle_mutex_
-      // and concurrent pops only shrink the queue, so after this capacity
-      // check every chunk's try_push is guaranteed to succeed.
-      metrics_.rejected_queue_full.add();
-      rejection = Status::queue_full();
-    } else {
-      for (std::size_t i = 0; i < chunk_count; ++i) {
-        Task task;
-        task.deadline = deadline;
-        task.enqueued = enqueued;
-        task.trace_id = job->trace_id;
-        task.sweep_job = job;
-        task.priority = priority;
-        task.chunk_begin = i * chunk_cells;
-        task.chunk_end = std::min(cells, task.chunk_begin + chunk_cells);
-        if (!queue_->try_push(enqueue_class(priority), task)) {
-          // Unreachable (see the capacity check above); keep the job's
-          // chunk accounting consistent anyway so the request resolves.
-          job->fail(StatusCode::InternalError, "sweep chunk enqueue failed");
-          if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            job->resolve(rejected(Status::internal_error(job->fail_message)));
-            return future;  // no chunk enqueued; pending_ untouched
-          }
-          continue;
-        }
-        metrics_.queue_depth.increment();
-      }
-      ++pending_;
-    }
+  qos::CancelToken cancel;
+  if (cancel_owner != 0 || cancel_id != 0) {
+    cancel = cancels_.add(cancel_owner, cancel_id);
   }
+
+  // kChunksPerExecutor chunks per worker (load balance without queue
+  // churn), but never more chunks than the queue could ever hold.
+  const std::vector<IndexRange> ranges = split_range(
+      job->kind->cells(),
+      std::min(kChunksPerExecutor * options_.worker_threads,
+               queue_->capacity()),
+      job->kind->grain());
+  job->remaining.store(ranges.size(), std::memory_order_relaxed);
+  std::vector<Task> chunks(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    Task& task = chunks[i];
+    task.deadline = deadline;
+    task.enqueued = enqueued;
+    task.trace_id = job->trace_id;
+    task.job = job;
+    task.chunk_begin = ranges[i].begin;
+    task.chunk_end = ranges[i].end;
+    task.priority = priority;
+    task.cancel = cancel;
+    task.cancel_owner = cancel_owner;
+    task.cancel_id = cancel_id;
+  }
+  Status rejection = enqueue(chunks, priority);
   if (!rejection.ok()) {
-    if (job->cancel) cancels_.erase(job->cancel_owner, job->cancel_id);
+    if (cancel) cancels_.erase(cancel_owner, cancel_id);
     // Resolved after the lock is released so a callback can never run
     // while the engine's lifecycle mutex is held.
     return resolve_ready(job->callback, rejected(std::move(rejection)));
@@ -776,150 +831,17 @@ std::future<QueryResponse> QueryEngine::submit_sweep(
   return future;
 }
 
-bool QueryEngine::CurveJob::fail(StatusCode code, std::string message) {
-  int expected = 0;
-  if (fail_code.compare_exchange_strong(expected, static_cast<int>(code),
-                                        std::memory_order_acq_rel)) {
-    fail_message = std::move(message);
-    return true;
-  }
-  return false;
-}
-
-void QueryEngine::CurveJob::resolve(QueryResponse response) {
-  if (callback) {
-    callback(std::move(response));
-  } else {
-    promise.set_value(std::move(response));
-  }
-}
-
-std::future<QueryResponse> QueryEngine::submit_fault_sweep(
-    FaultSweepRequest request, Deadline deadline, ResponseCallback callback,
-    qos::PriorityClass priority, bool degraded, bool strided,
-    std::uint64_t cancel_owner, std::uint64_t cancel_id) {
-  const Clock::time_point enqueued = Clock::now();
-
-  Status valid = validate_curve(request.spec);
-  if (!valid.ok()) {
-    metrics_.failed.add();
-    return resolve_ready(callback, rejected(std::move(valid)));
-  }
-
-  // Same key fingerprint(Request) computes, so the inline and
-  // chunk-parallel paths share cache entries.  A strided (degraded)
-  // spec hashes differently, so it can only hit other degraded runs.
-  FingerprintBuilder key_builder;
-  key_builder.mix(static_cast<int>(RequestType::FaultSweep))
-      .mix(fingerprint(request.spec));
-  const Fingerprint key = key_builder.value();
-
-  if (options_.enable_cache) {
-    bool served_stale = false;
-    std::shared_ptr<const ResponsePayload> hit;
-    {
-      trace::ScopedSpan probe("cache.probe", trace::Category::Cache);
-      hit = probe_cache(key, degraded, served_stale);
-      probe.annotate("hit", hit ? 1 : 0);
-    }
-    if (hit) {
-      metrics_.cache_hits.add();
-      QueryResponse response;
-      response.payload = std::move(hit);
-      response.cache_hit = true;
-      if (served_stale || strided) mark_degraded(response);
-      response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now() - enqueued);
-      metrics_.latency(RequestType::FaultSweep).record(response.latency);
-      metrics_.completed.add();
-      return resolve_ready(callback, std::move(response));
-    }
-    metrics_.cache_misses.add();
-  }
-
-  auto job = std::make_shared<CurveJob>(
-      fault::CurveEvaluator(request.spec, options_.library));
-  const std::size_t cells = job->evaluator.cell_count();
-  job->outcomes.resize(cells);
-  job->key = key;
-  job->enqueued = enqueued;
-  job->trace_id = trace::current_trace_id();
-  job->callback = std::move(callback);
-  job->sampled = strided;
-  if (cancel_owner != 0 || cancel_id != 0) {
-    job->cancel = cancels_.add(cancel_owner, cancel_id);
-    job->cancel_owner = cancel_owner;
-    job->cancel_id = cancel_id;
-  }
-  std::future<QueryResponse> future;
-  if (!job->callback) future = job->promise.get_future();
-
-  std::size_t target_chunks =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   options_.worker_threads) * 2);
-  target_chunks = std::min(target_chunks,
-                           std::max<std::size_t>(1, queue_->capacity()));
-  const std::size_t chunk_cells =
-      std::max<std::size_t>(1, (cells + target_chunks - 1) / target_chunks);
-  const std::size_t chunk_count = (cells + chunk_cells - 1) / chunk_cells;
-  job->remaining.store(chunk_count, std::memory_order_relaxed);
-
-  Status rejection;
+void QueryEngine::run_range_chunk(Task& task) {
+  RangeJob& job = *task.job;
   {
-    trace::ScopedSpan enqueue("engine.enqueue", trace::Category::Engine);
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    if (shutdown_) {
-      metrics_.rejected_shutdown.add();
-      rejection = Status::shutting_down();
-    } else if (!queue_->has_room(enqueue_class(priority), chunk_count)) {
-      // All-or-nothing enqueue under lifecycle_mutex_, exactly like
-      // submit_sweep: after the capacity check every try_push succeeds.
-      metrics_.rejected_queue_full.add();
-      rejection = Status::queue_full();
-    } else {
-      for (std::size_t i = 0; i < chunk_count; ++i) {
-        Task task;
-        task.deadline = deadline;
-        task.enqueued = enqueued;
-        task.trace_id = job->trace_id;
-        task.curve_job = job;
-        task.priority = priority;
-        task.chunk_begin = i * chunk_cells;
-        task.chunk_end = std::min(cells, task.chunk_begin + chunk_cells);
-        if (!queue_->try_push(enqueue_class(priority), task)) {
-          job->fail(StatusCode::InternalError,
-                    "fault sweep chunk enqueue failed");
-          if (job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            job->resolve(rejected(Status::internal_error(job->fail_message)));
-            return future;  // no chunk enqueued; pending_ untouched
-          }
-          continue;
-        }
-        metrics_.queue_depth.increment();
-      }
-      ++pending_;
-    }
-  }
-  if (!rejection.ok()) {
-    if (job->cancel) cancels_.erase(job->cancel_owner, job->cancel_id);
-    // Resolved after the lock is released so a callback can never run
-    // while the engine's lifecycle mutex is held.
-    return resolve_ready(job->callback, rejected(std::move(rejection)));
-  }
-  return future;
-}
-
-void QueryEngine::run_curve_chunk(Task& task) {
-  CurveJob& job = *task.curve_job;
-  {
-    // Scoped so the merge (complete_curve) traces as a sibling span, not
+    // Scoped so the merge (complete_range) traces as a sibling span, not
     // a child of whichever chunk happens to finish last.
     trace::ScopedSpan span(
-        "fault.chunk", trace::Category::Chunk, "cells",
+        job.kind->chunk_span, trace::Category::Chunk, "cells",
         static_cast<std::int64_t>(task.chunk_end - task.chunk_begin));
-    if (job.cancel && job.cancel->is_cancelled()) {
+    if (task.cancel && task.cancel->is_cancelled()) {
       // Cooperative cancellation: checked once per chunk, so an
-      // in-flight Monte-Carlo sweep stops within one chunk's work.
+      // in-flight request stops within one chunk's work.
       if (job.fail(StatusCode::Cancelled)) {
         metrics_.qos_cancelled_inflight.add();
         trace::emit_instant("qos.cancelled", trace::Category::Qos);
@@ -929,8 +851,7 @@ void QueryEngine::run_curve_chunk(Task& task) {
       job.fail(StatusCode::DeadlineExceeded);
     } else if (job.fail_code.load(std::memory_order_relaxed) == 0) {
       try {
-        job.evaluator.evaluate_range(task.chunk_begin, task.chunk_end,
-                                     job.outcomes.data() + task.chunk_begin);
+        job.kind->evaluate(task.chunk_begin, task.chunk_end);
       } catch (const std::exception& e) {
         job.fail(StatusCode::InternalError, e.what());
       } catch (...) {
@@ -938,18 +859,22 @@ void QueryEngine::run_curve_chunk(Task& task) {
       }
     }
   }
-  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    complete_curve(task);
+  finish_chunk(task);
+}
+
+void QueryEngine::finish_chunk(Task& task) {
+  if (task.job->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    complete_range(task);
   }
 }
 
-void QueryEngine::complete_curve(Task& task) {
-  CurveJob& job = *task.curve_job;
+void QueryEngine::complete_range(Task& task) {
+  RangeJob& job = *task.job;
   QueryResponse response;
   {
     // Closed before the end-to-end latency is stamped, so queue-wait +
     // chunk + merge spans stay accountable within the recorded latency.
-    trace::ScopedSpan span("fault.merge", trace::Category::Merge);
+    trace::ScopedSpan span(job.kind->merge_span, trace::Category::Merge);
     const int fail = job.fail_code.load(std::memory_order_acquire);
     if (fail != 0) {
       switch (static_cast<StatusCode>(fail)) {
@@ -973,124 +898,22 @@ void QueryEngine::complete_curve(Task& task) {
           break;
       }
     } else {
-      FaultSweepResponse payload;
-      payload.result.spec = job.evaluator.spec();
-      payload.result.points = job.evaluator.finalize(job.outcomes);
       response.payload =
-          std::make_shared<const ResponsePayload>(std::move(payload));
+          std::make_shared<const ResponsePayload>(job.kind->finish());
       if (options_.enable_cache) cache_.put(job.key, response.payload);
       if (job.sampled) mark_degraded(response);
     }
   }
   response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
       Clock::now() - job.enqueued);
-  metrics_.latency(RequestType::FaultSweep).record(response.latency);
+  metrics_.latency(job.kind->type).record(response.latency);
   if (response.ok()) {
     metrics_.completed.add();
   } else if (response.status.code != StatusCode::DeadlineExceeded &&
              response.status.code != StatusCode::Cancelled) {
     metrics_.failed.add();
   }
-  if (job.cancel) cancels_.erase(job.cancel_owner, job.cancel_id);
-  job.resolve(std::move(response));
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    --pending_;
-  }
-  drained_.notify_all();
-}
-
-void QueryEngine::run_sweep_chunk(Task& task) {
-  SweepJob& job = *task.sweep_job;
-  {
-    // Scoped so the merge (complete_sweep) traces as a sibling span, not
-    // a child of whichever chunk happens to finish last.
-    trace::ScopedSpan span(
-        "sweep.chunk", trace::Category::Chunk, "cells",
-        static_cast<std::int64_t>(task.chunk_end - task.chunk_begin));
-    if (job.cancel && job.cancel->is_cancelled()) {
-      // Cooperative cancellation: checked once per chunk, so an
-      // in-flight sweep stops within one chunk's work.
-      if (job.fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_inflight.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-      }
-    } else if (task.deadline.expired()) {
-      trace::emit_instant("deadline.expired", trace::Category::Mark);
-      job.fail(StatusCode::DeadlineExceeded);
-    } else if (job.fail_code.load(std::memory_order_relaxed) == 0) {
-      try {
-        job.evaluator.evaluate_range(task.chunk_begin, task.chunk_end,
-                                     job.points.data() + task.chunk_begin);
-      } catch (const std::exception& e) {
-        job.fail(StatusCode::InternalError, e.what());
-      } catch (...) {
-        job.fail(StatusCode::InternalError, "unknown exception");
-      }
-    }
-  }
-  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    complete_sweep(task);
-  }
-}
-
-void QueryEngine::complete_sweep(Task& task) {
-  SweepJob& job = *task.sweep_job;
-  QueryResponse response;
-  {
-    // Closed before the end-to-end latency is stamped, so queue-wait +
-    // chunk + merge spans stay accountable within the recorded latency.
-    trace::ScopedSpan span("sweep.merge", trace::Category::Merge);
-    const int fail = job.fail_code.load(std::memory_order_acquire);
-    if (fail != 0) {
-      switch (static_cast<StatusCode>(fail)) {
-        case StatusCode::DeadlineExceeded:
-          metrics_.rejected_deadline.add();
-          metrics_.expired_in_queue.add();
-          response = rejected(Status::deadline_exceeded());
-          break;
-        case StatusCode::ShuttingDown:
-          metrics_.rejected_shutdown.add();
-          response = rejected(Status::shutting_down());
-          break;
-        case StatusCode::Cancelled:
-          // Already counted (queued or in-flight) by whoever won the
-          // fail CAS; the response is just the ack.
-          response = rejected(Status::cancelled());
-          break;
-        default:
-          response = rejected(Status::internal_error(job.fail_message));
-          trace::emit_instant("request.failed", trace::Category::Mark);
-          break;
-      }
-    } else {
-      SweepResponse payload;
-      payload.result.candidate_classes = job.evaluator.candidate_count();
-      payload.result.points = std::move(job.points);
-      payload.result.pareto_front =
-          explore::pareto_front(payload.result.points);
-      response.payload =
-          std::make_shared<const ResponsePayload>(std::move(payload));
-      if (options_.enable_cache) cache_.put(job.key, response.payload);
-      if (job.sampled) mark_degraded(response);
-    }
-  }
-  response.latency = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      Clock::now() - job.enqueued);
-  metrics_.latency(RequestType::Sweep).record(response.latency);
-  if (response.ok()) {
-    metrics_.completed.add();
-  } else if (response.status.code != StatusCode::DeadlineExceeded &&
-             response.status.code != StatusCode::Cancelled) {
-    metrics_.failed.add();
-  }
-  if (job.cancel) cancels_.erase(job.cancel_owner, job.cancel_id);
-  job.resolve(std::move(response));
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    --pending_;
-  }
-  drained_.notify_all();
+  finish_task(task, std::move(response));
 }
 
 QueryResponse QueryEngine::run_request(const Request& request,
@@ -1209,45 +1032,22 @@ bool QueryEngine::cancel(std::uint64_t owner, std::uint64_t id) {
   std::vector<Task> removed;
   queue_->remove_all_if(
       [owner, id](const Task& task) {
-        if (task.sweep_job) {
-          return task.sweep_job->cancel_owner == owner &&
-                 task.sweep_job->cancel_id == id && task.sweep_job->cancel;
-        }
-        if (task.curve_job) {
-          return task.curve_job->cancel_owner == owner &&
-                 task.curve_job->cancel_id == id && task.curve_job->cancel;
-        }
         return task.cancel_owner == owner && task.cancel_id == id &&
                task.cancel != nullptr;
       },
       removed);
   for (Task& task : removed) {
     metrics_.queue_depth.decrement();
-    if (task.sweep_job) {
-      if (task.sweep_job->fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_queued.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-      }
-      if (task.sweep_job->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        complete_sweep(task);
-      }
-      continue;
+    // A range job counts once, however many of its chunks were queued.
+    if (!task.job || task.job->fail(StatusCode::Cancelled)) {
+      metrics_.qos_cancelled_queued.add();
+      trace::emit_instant("qos.cancelled", trace::Category::Qos);
     }
-    if (task.curve_job) {
-      if (task.curve_job->fail(StatusCode::Cancelled)) {
-        metrics_.qos_cancelled_queued.add();
-        trace::emit_instant("qos.cancelled", trace::Category::Qos);
-      }
-      if (task.curve_job->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-          1) {
-        complete_curve(task);
-      }
-      continue;
+    if (task.job) {
+      finish_chunk(task);
+    } else {
+      finish_task(task, rejected(Status::cancelled()));
     }
-    metrics_.qos_cancelled_queued.add();
-    trace::emit_instant("qos.cancelled", trace::Category::Qos);
-    finish_task(task, rejected(Status::cancelled()));
   }
   return true;
 }
@@ -1255,20 +1055,17 @@ bool QueryEngine::cancel(std::uint64_t owner, std::uint64_t id) {
 QueryResponse QueryEngine::execute_uncached(const Request& request) const {
   try {
     return std::visit(
-        [this](const auto& req) -> QueryResponse {
+        [this, &request](const auto& req) -> QueryResponse {
           using T = std::decay_t<decltype(req)>;
           if constexpr (std::is_same_v<T, ClassifyRequest>) {
             return execute_classify(req);
           } else if constexpr (std::is_same_v<T, RecommendRequest>) {
             return execute_recommend(req, options_.library);
-          } else if constexpr (std::is_same_v<T, SweepRequest>) {
-            return execute_sweep(req, options_.library);
-          } else if constexpr (std::is_same_v<T, FaultSweepRequest>) {
-            return execute_fault_sweep(req, options_.library);
-          } else if constexpr (std::is_same_v<T, SweepChunkRequest>) {
-            return execute_sweep_chunk(req, options_.library);
-          } else if constexpr (std::is_same_v<T, FaultChunkRequest>) {
-            return execute_fault_chunk(req, options_.library);
+          } else if constexpr (std::is_same_v<T, SweepRequest> ||
+                               std::is_same_v<T, FaultSweepRequest> ||
+                               std::is_same_v<T, SweepChunkRequest> ||
+                               std::is_same_v<T, FaultChunkRequest>) {
+            return execute_range(request, options_.library);
           } else if constexpr (std::is_same_v<T, SimulateRequest>) {
             return execute_simulate(req);
           } else {
@@ -1304,22 +1101,11 @@ void QueryEngine::shutdown() {
   // every accepted future must become ready, so reject them here.
   while (std::optional<Task> leftover = queue_->try_pop()) {
     metrics_.queue_depth.decrement();
-    if (leftover->sweep_job) {
-      // Sweep chunks resolve through their shared job; the last chunk
+    if (leftover->job) {
+      // Range chunks resolve through their shared job; the last chunk
       // drained answers ShuttingDown (and counts it) exactly once.
-      leftover->sweep_job->fail(StatusCode::ShuttingDown);
-      if (leftover->sweep_job->remaining.fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        complete_sweep(*leftover);
-      }
-      continue;
-    }
-    if (leftover->curve_job) {
-      leftover->curve_job->fail(StatusCode::ShuttingDown);
-      if (leftover->curve_job->remaining.fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        complete_curve(*leftover);
-      }
+      leftover->job->fail(StatusCode::ShuttingDown);
+      finish_chunk(*leftover);
       continue;
     }
     metrics_.rejected_shutdown.add();

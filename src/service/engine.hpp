@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,10 @@
 #include "service/request.hpp"
 
 namespace mpct::service {
+
+/// Per-kind part of a flat-range job (engine.cpp): a sweep grid or a
+/// fault curve.
+class RangeKind;
 
 /// The engine's result cache: payloads weighed by payload_bytes.
 using ResultCache = ShardedLruCache<ResponsePayload, &payload_bytes>;
@@ -202,18 +207,20 @@ class QueryEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  /// Shared state of one in-flight SweepRequest whose grid has been split
-  /// into chunk tasks.  The evaluator is immutable and `points` is
-  /// pre-sized, with each chunk writing only its own disjoint slice (the
-  /// per-chunk scratch area) — so chunk execution needs no locking, only
-  /// the final fetch_sub on `remaining` to elect the finisher.
-  struct SweepJob {
-    explore::SweepEvaluator evaluator;
-    std::vector<explore::SweepPoint> points;
+  /// Shared state of one in-flight flat-range request (a SweepRequest
+  /// or FaultSweepRequest) whose cells have been split into chunk
+  /// tasks.  The kind is immutable apart from its pre-sized output, of
+  /// which each chunk writes only its own disjoint slice — so chunk
+  /// execution needs no locking, only the final fetch_sub on
+  /// `remaining` to elect the finisher, which runs kind->finish().
+  struct RangeJob {
+    std::unique_ptr<RangeKind> kind;
     std::promise<QueryResponse> promise;
+    /// Set instead of using `promise` for submit_async() requests.
+    ResponseCallback callback;
     std::atomic<std::size_t> remaining{0};
     /// First failure wins: 0 = ok, otherwise the StatusCode to answer
-    /// with (deadline, shutdown, internal).
+    /// with (deadline, shutdown, cancel, internal).
     std::atomic<int> fail_code{0};
     std::string fail_message;  ///< written only by the winning CAS
     Fingerprint key = 0;
@@ -221,59 +228,15 @@ class QueryEngine {
     /// Submitter's trace context, restored on every worker that runs a
     /// chunk so the whole scatter/merge carries one trace ID.
     std::uint64_t trace_id = 0;
-
-    /// Set instead of using `promise` for submit_async() sweeps.
-    ResponseCallback callback;
-
-    /// The grid was strided by admission Degrade: the merged response
+    /// The cells were strided by admission Degrade: the merged response
     /// carries QueryResponse::sampled.
     bool sampled = false;
-    /// Cancellation identity + shared token (null when unregistered).
-    qos::CancelToken cancel;
-    std::uint64_t cancel_owner = 0;
-    std::uint64_t cancel_id = 0;
 
-    explicit SweepJob(explore::SweepEvaluator eval)
-        : evaluator(std::move(eval)) {}
     /// Returns true when this call won the first-failure CAS — the
     /// caller that gets to count the failure exactly once.
     bool fail(StatusCode code, std::string message = {});
     /// Deliver the response through the callback when set, else the
     /// promise.  Called exactly once, by the finisher.
-    void resolve(QueryResponse response);
-  };
-
-  /// Shared state of one in-flight FaultSweepRequest — the Monte-Carlo
-  /// twin of SweepJob: the (rate x trial) cell range is chunked across
-  /// the pool, each chunk writes its disjoint TrialOutcome slice, and
-  /// the last finisher runs the sequential index-order reduction
-  /// (CurveEvaluator::finalize), so the curve is bit-identical to the
-  /// inline fault::evaluate_curve() path.
-  struct CurveJob {
-    fault::CurveEvaluator evaluator;
-    std::vector<fault::TrialOutcome> outcomes;
-    std::promise<QueryResponse> promise;
-    std::atomic<std::size_t> remaining{0};
-    std::atomic<int> fail_code{0};
-    std::string fail_message;  ///< written only by the winning CAS
-    Fingerprint key = 0;
-    Clock::time_point enqueued;
-    /// Submitter's trace context (see SweepJob::trace_id).
-    std::uint64_t trace_id = 0;
-
-    /// Set instead of using `promise` for submit_async() fault sweeps.
-    ResponseCallback callback;
-
-    /// See SweepJob: degraded-precision marker + cancellation identity.
-    bool sampled = false;
-    qos::CancelToken cancel;
-    std::uint64_t cancel_owner = 0;
-    std::uint64_t cancel_id = 0;
-
-    explicit CurveJob(fault::CurveEvaluator eval)
-        : evaluator(std::move(eval)) {}
-    /// Returns true when this call won the first-failure CAS.
-    bool fail(StatusCode code, std::string message = {});
     void resolve(QueryResponse response);
   };
 
@@ -288,10 +251,9 @@ class QueryEngine {
     /// submit and restored around the worker's execution so queue.wait
     /// and execute spans join the request's trace.
     std::uint64_t trace_id = 0;
-    /// Non-null for a sweep / curve chunk; `request` is then unused and
-    /// the response flows through the job's promise instead.
-    std::shared_ptr<SweepJob> sweep_job;
-    std::shared_ptr<CurveJob> curve_job;
+    /// Non-null for a range chunk; `request` is then unused and the
+    /// response flows through the job's promise instead.
+    std::shared_ptr<RangeJob> job;
     std::size_t chunk_begin = 0;
     std::size_t chunk_end = 0;
     /// QoS class this task was admitted under (chunks inherit their
@@ -300,8 +262,8 @@ class QueryEngine {
     /// Admission said Degrade at submit: the cache may answer with an
     /// entry past its soft-TTL (marked sampled) instead of recomputing.
     bool allow_stale = false;
-    /// Cancellation token + registry identity (plain tasks only; chunk
-    /// tasks carry their token on the shared job).
+    /// Cancellation token + registry identity (every chunk of a range
+    /// job carries its job's).
     qos::CancelToken cancel;
     std::uint64_t cancel_owner = 0;
     std::uint64_t cancel_id = 0;
@@ -321,37 +283,30 @@ class QueryEngine {
       std::optional<qos::PriorityClass> priority = std::nullopt,
       std::uint64_t cancel_owner = 0, std::uint64_t cancel_id = 0);
 
-  /// Parallel fast path for SweepRequest: validate, probe the cache,
-  /// split the grid into chunk tasks and enqueue them all (atomically —
-  /// either every chunk is accepted or the request is rejected).
-  /// @p degraded marks an admission-Degrade submission (the grid was
-  /// already strided by the caller when stridable; stale cache hits are
-  /// allowed); @p strided says the grid actually shrank.
-  std::future<QueryResponse> submit_sweep(SweepRequest request,
+  /// Enqueue @p tasks all-or-nothing in class @p cls's subqueue,
+  /// counting a rejection (shutdown or queue full) exactly once.
+  Status enqueue(std::span<Task> tasks, qos::PriorityClass cls);
+
+  /// Parallel fast path for a SweepRequest or FaultSweepRequest:
+  /// validate, probe the cache, split the cells into chunk tasks with
+  /// split_range and enqueue them all-or-nothing.  @p degraded marks an
+  /// admission-Degrade submission (the cells were already strided by the
+  /// caller when stridable; stale cache hits are allowed); @p strided
+  /// says the request actually shrank.
+  std::future<QueryResponse> submit_range(const Request& request,
                                           Deadline deadline,
                                           ResponseCallback callback,
                                           qos::PriorityClass priority,
                                           bool degraded, bool strided,
                                           std::uint64_t cancel_owner,
                                           std::uint64_t cancel_id);
-  /// Evaluate one chunk; the last chunk to finish calls complete_sweep().
-  void run_sweep_chunk(Task& task);
-  /// Merge the Pareto front, publish to the cache, resolve the future.
-  void complete_sweep(Task& task);
-
-  /// FaultSweepRequest mirror of the sweep path: validate, probe the
-  /// cache, split the Monte-Carlo cells into chunk tasks, enqueue
-  /// all-or-nothing under lifecycle_mutex_.
-  std::future<QueryResponse> submit_fault_sweep(FaultSweepRequest request,
-                                                Deadline deadline,
-                                                ResponseCallback callback,
-                                                qos::PriorityClass priority,
-                                                bool degraded, bool strided,
-                                                std::uint64_t cancel_owner,
-                                                std::uint64_t cancel_id);
-  void run_curve_chunk(Task& task);
-  /// Reduce the trial outcomes into the curve, publish, resolve.
-  void complete_curve(Task& task);
+  /// Evaluate one chunk (or count its failure); the last chunk to
+  /// finish calls complete_range().
+  void run_range_chunk(Task& task);
+  /// Retire one chunk of @p task's job; the last one completes the job.
+  void finish_chunk(Task& task);
+  /// Reduce the job (kind->finish()), publish to the cache, resolve.
+  void complete_range(Task& task);
 
   /// Deadline check + cache + execution + completion metrics; shared by
   /// workers, the inline single-threaded path, and execute().

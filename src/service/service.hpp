@@ -16,6 +16,5 @@
 #include "service/engine.hpp"
 #include "service/fingerprint.hpp"
 #include "service/metrics.hpp"
-#include "service/queue.hpp"
 #include "service/request.hpp"
 #include "service/status.hpp"

@@ -32,22 +32,10 @@ void Decoder::fail(WireErrorCode code, std::string message) {
   pos_ = size_;  // stop consuming
 }
 
-std::uint64_t Decoder::get_le(int bytes) {
-  if (failed_) return 0;
-  if (remaining() < static_cast<std::size_t>(bytes)) {
-    fail(WireErrorCode::Truncated,
-         "need " + std::to_string(bytes) + " bytes, have " +
-             std::to_string(remaining()));
-    return 0;
-  }
-  std::uint64_t value = 0;
-  for (int i = 0; i < bytes; ++i) {
-    value |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(
-                                                        i)])
-             << (8 * i);
-  }
-  pos_ += static_cast<std::size_t>(bytes);
-  return value;
+void Decoder::truncated(std::size_t bytes) {
+  fail(WireErrorCode::Truncated, "need " + std::to_string(bytes) +
+                                     " bytes, have " +
+                                     std::to_string(remaining()));
 }
 
 bool Decoder::boolean() {

@@ -133,10 +133,10 @@ class Decoder {
   /// wins) and disable further reads.
   void fail(WireErrorCode code, std::string message);
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get_le(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get_le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get_le(4)); }
-  std::uint64_t u64() { return get_le(8); }
+  std::uint8_t u8() { return get_le<std::uint8_t>(); }
+  std::uint16_t u16() { return get_le<std::uint16_t>(); }
+  std::uint32_t u32() { return get_le<std::uint32_t>(); }
+  std::uint64_t u64() { return get_le<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
@@ -160,7 +160,29 @@ class Decoder {
   void expect_end();
 
  private:
-  std::uint64_t get_le(int bytes);
+  /// One little-endian integer, loaded with a single memcpy (and
+  /// byte-swapped on big-endian hosts) once the bounds check passes.
+  template <typename T>
+  T get_le() {
+    if (failed_) return 0;
+    if (remaining() < sizeof(T)) {
+      truncated(sizeof(T));
+      return 0;
+    }
+    T value;
+    std::memcpy(&value, data_ + pos_, sizeof(T));
+    if constexpr (std::endian::native == std::endian::big) {
+      T swapped = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        swapped = static_cast<T>((swapped << 8) | ((value >> (8 * i)) & 0xFF));
+      }
+      value = swapped;
+    }
+    pos_ += sizeof(T);
+    return value;
+  }
+  /// Fail Truncated for a read of @p bytes.
+  void truncated(std::size_t bytes);
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -19,6 +19,7 @@
 
 #include "arch/registry.hpp"
 #include "cluster/cluster.hpp"
+#include "core/split_range.hpp"
 #include "net/net.hpp"
 #include "service/service.hpp"
 #include "wire/wire.hpp"
@@ -526,7 +527,7 @@ TEST(CombiningProxyTest, MergeParityOnEdgeShapes) {
   poptions.enable_pinger = false;
   CombiningProxy proxy(poptions);
   ASSERT_TRUE(proxy.start()) << proxy.error();
-  const std::uint64_t max_chunks = 2 * poptions.chunks_per_endpoint;
+  const std::uint64_t max_chunks = 2 * kChunksPerExecutor;
 
   service::EngineOptions ref_options;
   ref_options.worker_threads = 0;
@@ -557,7 +558,7 @@ TEST(CombiningProxyTest, MergeParityOnEdgeShapes) {
       // 4 cells, each its own grid row, so one per chunk.
       {"4-cell grid", grid_request({4, 8, 12, 16}, {256}, 1), 4, 4},
       // One grid row: row-aligned chunking cannot split it, so the
-      // proxy sends fewer chunks than endpoints x chunks_per_endpoint.
+      // proxy sends fewer chunks than endpoints x kChunksPerExecutor.
       {"one-row grid", grid_request({32}, {128, 512, 2048}, 2), 6, 1},
       {"1408-cell grid", grid_request(wide_n, wide_luts, 2), 1408, 4},
       {"ragged curve", ragged, 21, 4},

@@ -9,6 +9,7 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -155,6 +156,37 @@ TEST(WfqQueue, PopBlocksUntilAPushArrives) {
   ASSERT_TRUE(queue.try_push(PriorityClass::Interactive, value));
   popper.join();
   EXPECT_EQ(out, 42);
+}
+
+TEST(WfqQueue, PopUnblocksOnClose) {
+  WfqQueue<int> queue(4);
+  std::thread consumer([&queue] {
+    int out = 0;
+    EXPECT_FALSE(queue.pop(out));  // blocked on empty, released by close()
+  });
+  queue.close();
+  consumer.join();
+}
+
+TEST(WfqQueue, SpanPushIsAllOrNothing) {
+  WfqQueue<int> queue(4);
+  std::vector<int> three = {1, 2, 3};
+  ASSERT_TRUE(queue.try_push(PriorityClass::Batch, std::span<int>(three)));
+  std::vector<int> two = {4, 5};
+  EXPECT_FALSE(queue.try_push(PriorityClass::Batch, std::span<int>(two)));
+  EXPECT_EQ(two, (std::vector<int>{4, 5}));  // rejected items untouched
+  EXPECT_EQ(queue.size(), 3u);
+  // Capacity is per class: the other subqueues still have room.
+  EXPECT_TRUE(queue.try_push(PriorityClass::Interactive, std::span<int>(two)));
+  int last = 6;
+  ASSERT_TRUE(queue.try_push(PriorityClass::Batch, last));
+  std::vector<int> order;
+  int out = 0;
+  while (queue.size() > 0) {
+    ASSERT_TRUE(queue.pop(out));
+    order.push_back(out);
+  }
+  EXPECT_EQ(order, (std::vector<int>{4, 5, 1, 2, 3, 6}));
 }
 
 TEST(WfqQueue, RemoveAllIfReclaimsMatchesAndPreservesSurvivorOrder) {

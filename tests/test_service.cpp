@@ -11,10 +11,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -35,49 +37,6 @@ EngineOptions single_threaded() {
 
 Request classify_request(const arch::ArchitectureSpec& spec) {
   return ClassifyRequest::of(spec);
-}
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(BoundedQueue, PushPopFifo) {
-  BoundedQueue<int> queue(4);
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(queue.try_push(v));
-  }
-  int overflow = 99;
-  EXPECT_FALSE(queue.try_push(overflow));
-  EXPECT_EQ(overflow, 99);  // rejected item untouched
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    EXPECT_TRUE(queue.pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedQueue<int> queue(4);
-  int v = 7;
-  ASSERT_TRUE(queue.try_push(v));
-  queue.close();
-  int rejected = 8;
-  EXPECT_FALSE(queue.try_push(rejected));
-  int out = 0;
-  EXPECT_TRUE(queue.pop(out));  // enqueued-before-close still drains
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(queue.pop(out));  // closed and empty
-}
-
-TEST(BoundedQueue, PopUnblocksOnClose) {
-  BoundedQueue<int> queue(4);
-  std::thread consumer([&queue] {
-    int out = 0;
-    EXPECT_FALSE(queue.pop(out));
-  });
-  queue.close();
-  consumer.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -661,6 +620,91 @@ TEST(QueryEngineBackpressure, DeadlineExpiresWhileQueued) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   engine.start();  // worker picks it up after the deadline passed
   EXPECT_EQ(future.get().status.code, StatusCode::DeadlineExceeded);
+}
+
+// ---------------------------------------------------------------------------
+// Range-job lifecycle: a sweep and a fault curve, split into chunk
+// tasks, keep the same guarantees — every future resolves exactly once
+// and each job is counted once, never once per chunk.
+
+template <typename R>
+class RangeLifecycle : public ::testing::Test {
+ protected:
+  static Request request() {
+    R request;
+    if constexpr (std::is_same_v<R, SweepRequest>) {
+      request.grid.n_values = {2, 4, 8, 16, 32, 64};
+      request.grid.lut_budgets = {64, 512, 4096};
+    } else {
+      request.spec.fault_rates = {0.0, 0.1, 0.3};
+      request.spec.trials_per_rate = 8;
+    }
+    return request;
+  }
+  /// Two workers, not started, so chunks wait in the queue.
+  static EngineOptions parked() {
+    EngineOptions options;
+    options.worker_threads = 2;
+    options.start_workers = false;
+    return options;
+  }
+};
+
+using RangeKinds = ::testing::Types<SweepRequest, FaultSweepRequest>;
+TYPED_TEST_SUITE(RangeLifecycle, RangeKinds);
+
+TYPED_TEST(RangeLifecycle, CancelWhileQueuedCountsOncePerJob) {
+  QueryEngine engine(TestFixture::parked());
+  int calls = 0;
+  StatusCode code = StatusCode::Ok;
+  engine.submit_async(TestFixture::request(), Deadline::never(),
+                      qos::PriorityClass::Batch, 7, 1,
+                      [&calls, &code](QueryResponse response) {
+                        ++calls;
+                        code = response.status.code;
+                      });
+  EXPECT_GT(engine.queue_depth(), 1u);  // split into several chunks
+  EXPECT_TRUE(engine.cancel(7, 1));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(code, StatusCode::Cancelled);
+  EXPECT_EQ(engine.metrics().qos_cancelled_queued.value(), 1u);
+  EXPECT_EQ(engine.queue_depth(), 0u);
+  EXPECT_FALSE(engine.cancel(7, 1));  // already resolved
+  engine.shutdown();
+  EXPECT_EQ(calls, 1);
+}
+
+TYPED_TEST(RangeLifecycle, ShutdownOfNeverStartedEngineAnswersShuttingDown) {
+  QueryEngine engine(TestFixture::parked());
+  std::future<QueryResponse> future = engine.submit(TestFixture::request());
+  engine.shutdown();
+  EXPECT_EQ(future.get().status.code, StatusCode::ShuttingDown);
+  EXPECT_EQ(engine.metrics().rejected_shutdown.value(), 1u);
+}
+
+TYPED_TEST(RangeLifecycle, DeadlineExpiresWhileQueued) {
+  QueryEngine engine(TestFixture::parked());
+  std::future<QueryResponse> future = engine.submit(
+      TestFixture::request(), Deadline::in(std::chrono::milliseconds(1)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  engine.start();
+  EXPECT_EQ(future.get().status.code, StatusCode::DeadlineExceeded);
+  engine.drain();
+  EXPECT_EQ(engine.metrics().expired_in_queue.value(), 1u);
+}
+
+TYPED_TEST(RangeLifecycle, PoolResultEqualsInlineResult) {
+  QueryEngine inline_engine(single_threaded());
+  EngineOptions pool_options;
+  pool_options.worker_threads = 3;
+  QueryEngine pool_engine(pool_options);
+  const QueryResponse inline_response =
+      inline_engine.submit(TestFixture::request()).get();
+  const QueryResponse pool_response =
+      pool_engine.submit(TestFixture::request()).get();
+  ASSERT_TRUE(inline_response.ok()) << inline_response.status.to_string();
+  ASSERT_TRUE(pool_response.ok()) << pool_response.status.to_string();
+  EXPECT_EQ(*inline_response.payload, *pool_response.payload);
 }
 
 // ---------------------------------------------------------------------------
