@@ -79,13 +79,12 @@ net::Client* ClusterClient::endpoint_client(std::size_t index,
     copts.connect_timeout = options_.connect_timeout;
     copts.io_timeout = options_.io_timeout;
     copts.max_retries = 0;  // the cluster layer owns retry policy
-    copts.protocol_version = options_.protocol_version;
     copts.metrics = options_.metrics;
     client = std::make_unique<net::Client>(copts);
   }
   if (client->connected()) return client.get();
-  // Fresh connection: negotiate before any traffic so v2-only requests
-  // (sweep/fault chunks) are never sent to a server stuck on v1.
+  // Fresh connection: confirm the server speaks this build's wire
+  // version before any traffic.
   const service::Status status = client->negotiate();
   if (!status.ok()) {
     client->disconnect();

@@ -48,7 +48,6 @@ struct ClusterOptions {
   // --- Per-connection knobs (forwarded to each net::Client) ---------
   std::chrono::milliseconds connect_timeout{2000};
   std::chrono::milliseconds io_timeout{10000};
-  std::uint16_t protocol_version = wire::kProtocolVersion;
 
   /// Client-side registry: request latencies recorded here feed the
   /// hedge delay, and net_requests_sent / net_hedges_* / net_failovers

@@ -37,7 +37,7 @@ struct ProxyOptions {
 /// point at the proxy unchanged.  Grid-shaped requests (SweepRequest,
 /// FaultSweepRequest) are split by split_range into at most
 /// kChunksPerExecutor x endpoints disjoint flat-index chunk requests
-/// (SweepChunkRequest / FaultChunkRequest, wire v2), scattered across
+/// (SweepChunkRequest / FaultChunkRequest), scattered across
 /// the fleet via ClusterClient::call_many — so the fleet can balance
 /// even when backends run at different speeds — and merged with
 /// *exactly* the engine's own completion logic:

@@ -52,9 +52,7 @@ int poll_timeout_ms(std::chrono::milliseconds io_timeout,
 
 }  // namespace
 
-Client::Client(ClientOptions options)
-    : options_(std::move(options)),
-      agreed_version_(options_.protocol_version) {}
+Client::Client(ClientOptions options) : options_(std::move(options)) {}
 
 void Client::disconnect() {
   socket_.close();
@@ -181,9 +179,9 @@ bool Client::attempt(const std::vector<service::Request>& requests,
     const std::uint64_t id = next_id_++;
     id_to_index.emplace(id, index);
     // Untraced calls still get a per-request trace id (the request id)
-    // so a v2 server can stitch its spans to this frame.
+    // so the server can stitch its spans to this frame.
     const auto frame = wire::encode_request_frame(
-        id, requests[index], deadline_ms, agreed_version_,
+        id, requests[index], deadline_ms, wire::kProtocolVersion,
         trace_id != 0 ? trace_id : id, options_.priority);
     out.insert(out.end(), frame.begin(), frame.end());
     pending_.insert(id);
@@ -368,7 +366,7 @@ bool Client::send_request(const service::Request& request,
   const Clock::time_point now = Clock::now();
   const std::uint64_t id = next_id_++;
   const auto frame = wire::encode_request_frame(
-      id, request, wire_deadline_ms(deadline, now), agreed_version_,
+      id, request, wire_deadline_ms(deadline, now), wire::kProtocolVersion,
       trace_id != 0 ? trace_id : id, priority ? priority : options_.priority);
   if (!write_frame(frame, deadline, error)) return false;
   pending_.insert(id);
@@ -377,7 +375,6 @@ bool Client::send_request(const service::Request& request,
 }
 
 bool Client::send_cancel(std::uint64_t id, std::string& error) {
-  if (agreed_version_ < 2) return true;  // cancellation does not exist at v1
   if (!socket_.valid()) {
     error = "not connected";
     return false;
@@ -456,7 +453,7 @@ service::Status Client::negotiate() {
       service::Deadline::in(options_.io_timeout);
   hello_ack_.reset();
   if (!write_frame(wire::encode_hello_frame(id, wire::kMinProtocolVersion,
-                                            options_.protocol_version),
+                                            wire::kProtocolVersion),
                    deadline, error)) {
     return service::Status::unavailable(error);
   }
@@ -472,14 +469,12 @@ service::Status Client::negotiate() {
   const wire::HelloAckFrame ack = *hello_ack_;
   hello_ack_.reset();
   if (!ack.status.ok()) return ack.status;
-  if (ack.agreed_version < wire::kMinProtocolVersion ||
-      ack.agreed_version > options_.protocol_version) {
+  if (ack.agreed_version != wire::kProtocolVersion) {
     disconnect();
     return service::Status::protocol_error(
         "server agreed to version " + std::to_string(ack.agreed_version) +
         ", outside the advertised range");
   }
-  agreed_version_ = ack.agreed_version;
   return service::Status::okay();
 }
 

@@ -29,18 +29,13 @@ struct ClientOptions {
   int max_retries = 2;
   /// First retry backoff; doubles per retry.
   std::chrono::milliseconds initial_backoff{50};
-  /// Highest wire version this client will speak.  Frames are encoded at
-  /// this version until negotiate() agrees on another; set 1 to emulate
-  /// an old v1 client against a v2 server.
-  std::uint16_t protocol_version = wire::kProtocolVersion;
   /// Optional registry for net_* counters (e.g. the engine's own, or a
   /// client-side one).  May be null.
   service::MetricsRegistry* metrics = nullptr;
   /// QoS class stamped on every request frame this client sends.
   /// nullopt lets the wire layer derive the request type's default
   /// class (point queries Interactive, grid work Batch); a replay soak
-  /// sets Background so live traffic outranks it.  v1 frames cannot
-  /// carry the byte — the value is dropped when the agreed version is 1.
+  /// sets Background so live traffic outranks it.
   std::optional<qos::PriorityClass> priority;
 };
 
@@ -88,7 +83,7 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Synchronous round trip for one request.  @p trace_id stamps the
-  /// frame's v2 trace field (0 = derive one from the request id).
+  /// frame header's trace field (0 = derive one from the request id).
   service::QueryResponse call(
       service::Request request,
       service::Deadline deadline = service::Deadline::never(),
@@ -100,16 +95,12 @@ class Client {
       service::Deadline deadline = service::Deadline::never(),
       std::uint64_t trace_id = 0);
 
-  /// Hello/HelloAck version negotiation: agree with the server on the
-  /// highest version both speak and use it for every later frame.
-  /// Optional — without it the client just emits options().protocol_version.
-  /// Returns Ok, UnsupportedVersion (typed, from the server), or
-  /// Unavailable (transport).
+  /// Hello/HelloAck version check: confirm the server speaks
+  /// wire::kProtocolVersion.  Optional — frames are the same either way.
+  /// Returns Ok, UnsupportedVersion (typed, from the server), Unavailable
+  /// (transport), or ProtocolError (the server agreed to another
+  /// version).
   service::Status negotiate();
-
-  /// Version subsequent frames are encoded at (protocol_version until a
-  /// successful negotiate()).
-  std::uint16_t agreed_version() const { return agreed_version_; }
 
   /// Liveness probe: Ping → Pong round trip within @p timeout.
   bool ping(std::chrono::milliseconds timeout, std::string& error);
@@ -140,8 +131,7 @@ class Client {
   /// and its result may warm the server's cache.
   void cancel(std::uint64_t id);
 
-  /// Ask the *server* to abandon request @p id too (wire CancelRequest,
-  /// v2-only — a no-op returning true when the agreed version is 1).
+  /// Ask the *server* to abandon request @p id too (wire CancelRequest).
   /// Fire-and-forget: the cancelled request's own response is the
   /// acknowledgement.  Counts qos_cancels_sent.  Callers usually pair
   /// this with cancel(id) to also drop the local tracking.
@@ -180,7 +170,6 @@ class Client {
   ClientOptions options_;
   Socket socket_;
   std::uint64_t next_id_ = 1;
-  std::uint16_t agreed_version_;
 
   // Stream state (reset by disconnect()).
   FrameReader reader_;

@@ -37,8 +37,7 @@ std::uint64_t normalized_response_fingerprint(const std::uint8_t* frame,
   normalized.response.latency = std::chrono::nanoseconds{0};
   normalized.response.cache_hit = false;
   const std::vector<std::uint8_t> canonical = wire::encode_response_frame(
-      normalized.request_id, normalized.response, normalized.version,
-      /*trace_id=*/0);
+      normalized.request_id, normalized.response, /*trace_id=*/0);
   return fnv1a(canonical.data(), canonical.size());
 }
 

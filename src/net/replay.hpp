@@ -42,7 +42,7 @@ struct ReplayOutcome {
 };
 
 /// Semantic hash of one response frame: decode, zero latency /
-/// cache_hit / trace id, re-encode at the frame's own version, FNV-1a
+/// cache_hit / trace id, re-encode, FNV-1a
 /// over the canonical bytes.  An undecodable frame hashes its raw bytes
 /// (still deterministic, still comparable).  Exposed for tests and for
 /// diffing saved fingerprint files.

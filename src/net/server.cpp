@@ -272,7 +272,6 @@ bool Server::dispatch_request(std::uint64_t conn_id, Connection& conn,
                        std::to_string(hello.value->min_version) + ".." +
                        std::to_string(hello.value->max_version) +
                        ", this server speaks " +
-                       std::to_string(wire::kMinProtocolVersion) + ".." +
                        std::to_string(wire::kProtocolVersion));
       return queue_write(
           conn, wire::encode_hello_ack_frame(
@@ -337,12 +336,10 @@ bool Server::dispatch_request(std::uint64_t conn_id, Connection& conn,
         service::Status::protocol_error(decoded.error.to_string());
     return queue_write(conn, wire::encode_response_frame(
                                  scan.header.request_id, response,
-                                 scan.header.version,
                                  scan.header.trace_id));
   }
 
   const std::uint64_t request_id = decoded.value->request_id;
-  const std::uint16_t version = decoded.value->version;
   const std::uint64_t trace_id = decoded.value->trace_id;
   if (trace_id != 0) {
     span.annotate("trace_id", static_cast<std::int64_t>(trace_id));
@@ -359,19 +356,18 @@ bool Server::dispatch_request(std::uint64_t conn_id, Connection& conn,
                                        conn_id, request_id};
   handler_(
       std::move(decoded.value->request), deadline, request_context,
-      [this, conn_id, request_id, version,
+      [this, conn_id, request_id,
        trace_id](service::QueryResponse response) {
         // Worker thread (or this thread, for rejections): encode here so
         // serialisation cost never lands on the event loop.  The
-        // response goes out at the version (and with the trace id) the
-        // request arrived with, which is what keeps v1 clients working.
+        // response echoes the request's trace id.
         trace::TraceContextScope encode_context(trace_id);
         trace::ScopedSpan encode_span("net.encode", trace::Category::Net,
                                       "trace_id",
                                       static_cast<std::int64_t>(trace_id));
         enqueue_completion(conn_id,
                            wire::encode_response_frame(request_id, response,
-                                                       version, trace_id));
+                                                       trace_id));
       });
   return true;
 }

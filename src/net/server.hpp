@@ -78,9 +78,8 @@ struct ServerOptions {
 class Server {
  public:
   /// Per-request wire context handed to a Handler alongside the decoded
-  /// request.  `trace_id` is the frame's v2 trace field (0 on v1
-  /// frames); `priority` is the decoded QoS class (the request type's
-  /// default when the frame did not carry the byte); (`conn_id`,
+  /// request.  `trace_id` is the frame header's trace field;
+  /// `priority` is the frame's decoded QoS class; (`conn_id`,
   /// `request_id`) is the cancellation identity the engine registers
   /// the request under — a later CancelRequest frame on the same
   /// connection names exactly this pair.
@@ -93,8 +92,7 @@ class Server {
 
   /// Where decoded request frames go.  The handler must eventually
   /// invoke the callback exactly once (from any thread); the response
-  /// is encoded there and shipped back on the frame's connection at the
-  /// frame's wire version.
+  /// is encoded there and shipped back on the frame's connection.
   using Handler =
       std::function<void(service::Request, service::Deadline,
                          const RequestContext&,

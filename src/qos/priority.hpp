@@ -7,11 +7,9 @@
 
 namespace mpct::qos {
 
-/// Scheduling class of one request.  The wire carries this as a single
-/// byte appended to the v2 request payload (absent on v1 frames and on
-/// frames from v2 clients that predate QoS — both default to
-/// Interactive, the strictest class, so an unaware client is never
-/// accidentally starved).
+/// Scheduling class of one request.  The wire carries this as the
+/// request payload's mandatory last byte; encoders that are not told a
+/// class write default_priority(request).
 ///
 /// The taxonomy follows docs/QOS.md: Interactive answers a human who is
 /// waiting (classify / recommend / cost / simulate point queries),

@@ -210,9 +210,9 @@ enum class RequestType : std::uint8_t {
   Cost = 2,
   Sweep = 3,
   FaultSweep = 4,
-  SweepChunk = 5,   ///< wire protocol v2+ only
-  FaultChunk = 6,   ///< wire protocol v2+ only
-  Simulate = 7,     ///< wire protocol v2+ only
+  SweepChunk = 5,
+  FaultChunk = 6,
+  Simulate = 7,
 };
 inline constexpr std::size_t kRequestTypeCount = 8;
 
@@ -253,7 +253,7 @@ struct QueryResponse {
   /// answered on a strided subgrid, or a cache entry served past its
   /// soft-TTL.  The result is well-formed and self-consistent, just
   /// computed from (or cached over) less than the full request asked
-  /// for.  Travels the wire as a v2 response extension.
+  /// for.  Travels in the response payload's QoS tail.
   bool sampled = false;
 
   bool ok() const { return status.ok(); }

@@ -62,8 +62,8 @@ struct Status {
   StatusCode code = StatusCode::Ok;
   std::string message;
   /// Overloaded only: how long the shedding server suggests waiting
-  /// before a retry (0 = no hint).  Travels the wire as a v2 response
-  /// extension; clients sleep max(backoff, hint).
+  /// before a retry (0 = no hint).  Travels in the response payload's
+  /// QoS tail; clients sleep max(backoff, hint).
   std::uint32_t retry_after_ms = 0;
 
   bool ok() const { return code == StatusCode::Ok; }

@@ -125,7 +125,7 @@ inline std::uint64_t current_trace_id() {
 /// while alive with @p trace_id, restoring the previous context on
 /// destruction.  Cheap enough to install unconditionally (two
 /// thread-local stores) — the server's dispatch path and the engine's
-/// workers wrap request execution in one of these so the wire-v2 trace
+/// workers wrap request execution in one of these so the wire header's trace
 /// id reaches every engine / chunk / merge span, not just the
 /// cluster-layer instants.
 class TraceContextScope {

@@ -789,10 +789,7 @@ void encode(Encoder& e, const service::Request& request) {
       request);
 }
 
-/// @p version is the frame's wire version: the chunk request types were
-/// introduced in v2, so a v1 frame carrying their tags is malformed
-/// rather than merely newer-than-us.
-service::Request decode_request(Decoder& d, std::uint16_t version) {
+service::Request decode_request(Decoder& d) {
   const std::uint8_t type = d.u8();
   if (!d.ok()) return service::ClassifyRequest{};
   switch (static_cast<service::RequestType>(type)) {
@@ -807,7 +804,6 @@ service::Request decode_request(Decoder& d, std::uint16_t version) {
     case service::RequestType::FaultSweep:
       return service::FaultSweepRequest{decode_curve_spec(d)};
     case service::RequestType::SweepChunk: {
-      if (version < 2) break;
       service::SweepChunkRequest chunk;
       chunk.grid = decode_sweep_grid(d);
       chunk.begin = d.u64();
@@ -815,21 +811,17 @@ service::Request decode_request(Decoder& d, std::uint16_t version) {
       return chunk;
     }
     case service::RequestType::FaultChunk: {
-      if (version < 2) break;
       service::FaultChunkRequest chunk;
       chunk.spec = decode_curve_spec(d);
       chunk.begin = d.u64();
       chunk.end = d.u64();
       return chunk;
     }
-    case service::RequestType::Simulate: {
-      if (version < 2) break;
+    case service::RequestType::Simulate:
       return decode_simulate_request(d);
-    }
   }
   d.fail(WireErrorCode::Malformed,
-         "bad RequestType value " + std::to_string(type) + " for version " +
-             std::to_string(version));
+         "bad RequestType value " + std::to_string(type));
   return service::ClassifyRequest{};
 }
 
@@ -868,8 +860,7 @@ void encode_payload(Encoder& e, const service::QueryResponse& response) {
       *response.payload);
 }
 
-std::shared_ptr<const service::ResponsePayload> decode_payload(
-    Decoder& d, std::uint16_t version) {
+std::shared_ptr<const service::ResponsePayload> decode_payload(Decoder& d) {
   const std::uint8_t index = d.u8();
   if (!d.ok()) return nullptr;
   switch (index) {
@@ -891,7 +882,6 @@ std::shared_ptr<const service::ResponsePayload> decode_payload(
       return std::make_shared<const service::ResponsePayload>(
           service::FaultSweepResponse{decode_curve_result(d)});
     case 6: {
-      if (version < 2) break;
       service::SweepChunkResponse chunk;
       const std::size_t count = d.length(kSweepPointBytes);
       chunk.points.reserve(count);
@@ -903,7 +893,6 @@ std::shared_ptr<const service::ResponsePayload> decode_payload(
           std::move(chunk));
     }
     case 7: {
-      if (version < 2) break;
       service::FaultChunkResponse chunk;
       // TrialOutcome: alive(1) + score(4) + 3 doubles(24).
       const std::size_t count = d.length(29);
@@ -920,17 +909,14 @@ std::shared_ptr<const service::ResponsePayload> decode_payload(
       return std::make_shared<const service::ResponsePayload>(
           std::move(chunk));
     }
-    case 8: {
-      if (version < 2) break;
+    case 8:
       return std::make_shared<const service::ResponsePayload>(
           decode_simulate_response(d));
-    }
     default:
       break;
   }
   d.fail(WireErrorCode::Malformed,
-         "bad ResponsePayload alternative " + std::to_string(index) +
-             " for version " + std::to_string(version));
+         "bad ResponsePayload alternative " + std::to_string(index));
   return nullptr;
 }
 
@@ -946,7 +932,7 @@ void encode_header(Encoder& e, FrameKind kind, std::uint64_t request_id,
   e.u8(0);  // reserved
   e.u64(request_id);
   e.u32(static_cast<std::uint32_t>(payload_size));
-  if (version >= 2) e.u64(trace_id);
+  e.u64(trace_id);
 }
 
 /// Build one frame size-first: @p payload runs once on a sizing encoder
@@ -954,15 +940,13 @@ void encode_header(Encoder& e, FrameKind kind, std::uint64_t request_id,
 /// allocated at the exact frame size, right after the header that
 /// carries that count.  Each message is described once, by @p payload.
 template <typename Payload>
-std::vector<std::uint8_t> encode_frame(FrameKind kind,
-                                       std::uint64_t request_id,
-                                       std::uint16_t version,
-                                       std::uint64_t trace_id,
-                                       const Payload& payload) {
+std::vector<std::uint8_t> encode_frame(
+    FrameKind kind, std::uint64_t request_id, std::uint64_t trace_id,
+    const Payload& payload, std::uint16_t version = kProtocolVersion) {
   Encoder sizer;
   payload(sizer);
   const std::size_t payload_size = sizer.size();
-  Encoder e(header_size(version) + payload_size);
+  Encoder e(kHeaderSize + payload_size);
   encode_header(e, kind, request_id, version, trace_id, payload_size);
   payload(e);
   return e.take();
@@ -970,9 +954,8 @@ std::vector<std::uint8_t> encode_frame(FrameKind kind,
 
 std::vector<std::uint8_t> encode_header_only_frame(FrameKind kind,
                                                    std::uint64_t request_id,
-                                                   std::uint16_t version,
                                                    std::uint64_t trace_id) {
-  return encode_frame(kind, request_id, version, trace_id, [](Encoder&) {});
+  return encode_frame(kind, request_id, trace_id, [](Encoder&) {});
 }
 
 /// Bytes of kMagic in wire (little-endian) order — "MPCT".
@@ -990,16 +973,52 @@ FrameScan bad_frame(WireErrorCode code, std::string message) {
   return scan;
 }
 
+/// Open @p data as exactly one frame of @p kind: the scan's typed error,
+/// Truncated when @p size is not exactly one frame, BadFrameKind when
+/// the kind differs, else the header.
+DecodeResult<FrameHeader> open_frame(const std::uint8_t* data,
+                                     std::size_t size, FrameKind kind,
+                                     const char* kind_name) {
+  const FrameScan scan = scan_frame(data, size);
+  if (scan.state == FrameScan::State::Bad) return {std::nullopt, scan.error};
+  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
+    return {std::nullopt,
+            {WireErrorCode::Truncated, "buffer is not exactly one frame"}};
+  }
+  if (scan.header.kind != kind) {
+    return {std::nullopt,
+            {WireErrorCode::BadFrameKind,
+             std::string("expected a ") + kind_name + " frame, got kind " +
+                 std::to_string(static_cast<int>(scan.header.kind))}};
+  }
+  return {scan.header, {}};
+}
+
+/// The decoded @p frame, unless @p d failed or left bytes over.
+template <typename T>
+DecodeResult<T> finish(Decoder& d, T frame) {
+  d.expect_end();
+  if (!d.ok()) return {std::nullopt, d.error()};
+  return {std::move(frame), {}};
+}
+
+/// Fail Malformed unless at least @p bytes of mandatory trailing fields
+/// remain: a payload that ends where its tail should start is missing a
+/// field, not cut short by the framing.
+void require_tail(Decoder& d, std::size_t bytes, const char* what) {
+  if (d.ok() && d.remaining() < bytes) {
+    d.fail(WireErrorCode::Malformed, std::string("payload lacks its ") + what);
+  }
+}
+
 }  // namespace
 
 std::optional<std::uint16_t> negotiate_version(std::uint16_t client_min,
                                                std::uint16_t client_max) {
-  const std::uint16_t lo =
-      client_min > kMinProtocolVersion ? client_min : kMinProtocolVersion;
-  const std::uint16_t hi =
-      client_max < kProtocolVersion ? client_max : kProtocolVersion;
-  if (lo > hi) return std::nullopt;
-  return hi;
+  if (client_min <= kProtocolVersion && kProtocolVersion <= client_max) {
+    return kProtocolVersion;
+  }
+  return std::nullopt;
 }
 
 FrameScan scan_frame(const std::uint8_t* data, std::size_t size) {
@@ -1013,43 +1032,32 @@ FrameScan scan_frame(const std::uint8_t* data, std::size_t size) {
                        "frame does not start with 'MPCT'");
     }
   }
-  // The header size depends on the version field, so read (and reject)
-  // that before demanding a full header's worth of bytes.
+  // Likewise a foreign version: reject it before waiting for a header
+  // whose layout this build does not know.
   if (size < 6) return {};  // NeedMore
   const std::uint16_t version = static_cast<std::uint16_t>(
       data[4] | (static_cast<std::uint16_t>(data[5]) << 8));
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return bad_frame(WireErrorCode::UnsupportedVersion,
                      "frame version " + std::to_string(version) +
                          ", this build speaks " +
-                         std::to_string(kMinProtocolVersion) + ".." +
                          std::to_string(kProtocolVersion));
   }
-  const std::size_t header_bytes = header_size(version);
-  if (size < header_bytes) return {};  // NeedMore
+  if (size < kHeaderSize) return {};  // NeedMore
 
-  Decoder d(data, header_bytes);
+  Decoder d(data, kHeaderSize);
   d.u32();  // magic, validated above
   d.u16();  // version, validated above
   const std::uint8_t kind = d.u8();
   const std::uint8_t reserved = d.u8();
   const std::uint64_t request_id = d.u64();
   const std::uint32_t payload_size = d.u32();
-  const std::uint64_t trace_id = version >= 2 ? d.u64() : 0;
+  const std::uint64_t trace_id = d.u64();
 
   if (kind < static_cast<std::uint8_t>(FrameKind::Request) ||
       kind > static_cast<std::uint8_t>(FrameKind::CancelRequest)) {
     return bad_frame(WireErrorCode::BadFrameKind,
                      "frame kind byte " + std::to_string(kind));
-  }
-  if (kind == static_cast<std::uint8_t>(FrameKind::SpanBatch) && version < 2) {
-    return bad_frame(WireErrorCode::BadFrameKind,
-                     "span batch frames require a v2 header");
-  }
-  if (kind == static_cast<std::uint8_t>(FrameKind::CancelRequest) &&
-      version < 2) {
-    return bad_frame(WireErrorCode::BadFrameKind,
-                     "cancel frames require a v2 header");
   }
   if (reserved != 0) {
     return bad_frame(WireErrorCode::Malformed,
@@ -1061,13 +1069,13 @@ FrameScan scan_frame(const std::uint8_t* data, std::size_t size) {
                          " bytes exceeds the " +
                          std::to_string(kMaxPayloadBytes) + " byte ceiling");
   }
-  if (size < header_bytes + payload_size) return {};  // NeedMore
+  if (size < kHeaderSize + payload_size) return {};  // NeedMore
 
   FrameScan scan;
   scan.state = FrameScan::State::Ready;
-  scan.header = {static_cast<FrameKind>(kind), version, request_id,
-                 payload_size, trace_id};
-  scan.frame_size = header_bytes + payload_size;
+  scan.header = {static_cast<FrameKind>(kind), request_id, payload_size,
+                 trace_id};
+  scan.frame_size = kHeaderSize + payload_size;
   return scan;
 }
 
@@ -1076,56 +1084,44 @@ std::vector<std::uint8_t> encode_request_frame(
     std::uint32_t deadline_ms, std::uint16_t version, std::uint64_t trace_id,
     std::optional<qos::PriorityClass> priority) {
   return encode_frame(
-      FrameKind::Request, request_id, version, trace_id, [&](Encoder& e) {
+      FrameKind::Request, request_id, trace_id,
+      [&](Encoder& e) {
         e.u32(deadline_ms);
         encode(e, request);
-        if (version >= 2) {
-          // Trailing QoS extension: a single priority byte.  Decoders
-          // treat its absence as "use the request type's default", so
-          // pre-extension v2 peers interoperate unchanged.
-          e.u8(static_cast<std::uint8_t>(
-              priority.value_or(qos::default_priority(request))));
-        }
-      });
+        e.u8(static_cast<std::uint8_t>(
+            priority.value_or(qos::default_priority(request))));
+      },
+      version);
 }
 
 std::vector<std::uint8_t> encode_response_frame(
     std::uint64_t request_id, const service::QueryResponse& response,
-    std::uint16_t version, std::uint64_t trace_id) {
+    std::uint64_t trace_id) {
   return encode_frame(
-      FrameKind::Response, request_id, version, trace_id, [&](Encoder& e) {
+      FrameKind::Response, request_id, trace_id, [&](Encoder& e) {
         encode(e, response.status);
         e.boolean(response.cache_hit);
         e.i64(response.latency.count());
         encode_payload(e, response);
-        if (version >= 2) {
-          // Trailing QoS extension: one flags byte (bit 0 = sampled, i.e.
-          // precision was shed) + the Overloaded retry-after hint in ms.
-          // Absent on frames from pre-extension peers; decoders then
-          // default to full precision and no hint.
-          e.u8(response.sampled ? 1 : 0);
-          e.u32(response.status.retry_after_ms);
-        }
+        // QoS tail: one flags byte (bit 0 = sampled, i.e. precision was
+        // shed) + the Overloaded retry-after hint in ms.
+        e.u8(response.sampled ? 1 : 0);
+        e.u32(response.status.retry_after_ms);
       });
 }
 
 std::vector<std::uint8_t> encode_ping_frame(std::uint64_t request_id) {
-  return encode_header_only_frame(FrameKind::Ping, request_id,
-                                  kProtocolVersion, 0);
+  return encode_header_only_frame(FrameKind::Ping, request_id, 0);
 }
 
 std::vector<std::uint8_t> encode_pong_frame(std::uint64_t request_id) {
-  return encode_header_only_frame(FrameKind::Pong, request_id,
-                                  kProtocolVersion, 0);
+  return encode_header_only_frame(FrameKind::Pong, request_id, 0);
 }
-
-// Hello and HelloAck use a v1 header on purpose: the handshake that
-// *selects* a version must be readable at every version.
 
 std::vector<std::uint8_t> encode_hello_frame(std::uint64_t request_id,
                                              std::uint16_t min_version,
                                              std::uint16_t max_version) {
-  return encode_frame(FrameKind::Hello, request_id, 1, 0, [&](Encoder& e) {
+  return encode_frame(FrameKind::Hello, request_id, 0, [&](Encoder& e) {
     e.u16(min_version);
     e.u16(max_version);
   });
@@ -1134,7 +1130,7 @@ std::vector<std::uint8_t> encode_hello_frame(std::uint64_t request_id,
 std::vector<std::uint8_t> encode_hello_ack_frame(std::uint64_t request_id,
                                                  const service::Status& status,
                                                  std::uint16_t agreed_version) {
-  return encode_frame(FrameKind::HelloAck, request_id, 1, 0, [&](Encoder& e) {
+  return encode_frame(FrameKind::HelloAck, request_id, 0, [&](Encoder& e) {
     encode(e, status);
     e.u16(agreed_version);
   });
@@ -1142,86 +1138,52 @@ std::vector<std::uint8_t> encode_hello_ack_frame(std::uint64_t request_id,
 
 std::vector<std::uint8_t> encode_cancel_frame(std::uint64_t request_id,
                                               std::uint64_t trace_id) {
-  // Always a v2 header: cancellation is a v2 feature and scan_frame
-  // rejects the kind at v1, so there is nothing to encode for v1 peers.
   return encode_header_only_frame(FrameKind::CancelRequest, request_id,
-                                  kProtocolVersion, trace_id);
+                                  trace_id);
 }
 
 DecodeResult<CancelFrame> decode_cancel_frame(const std::uint8_t* data,
                                               std::size_t size) {
-  DecodeResult<CancelFrame> result;
-  const FrameScan scan = scan_frame(data, size);
-  if (scan.state == FrameScan::State::Bad) {
-    result.error = scan.error;
-    return result;
+  const auto header =
+      open_frame(data, size, FrameKind::CancelRequest, "cancel");
+  if (!header.ok()) return {std::nullopt, header.error};
+  if (header.value->payload_size != 0) {
+    return {std::nullopt,
+            {WireErrorCode::Malformed, "cancel frames carry no payload"}};
   }
-  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
-    result.error = {WireErrorCode::Truncated,
-                    "buffer is not exactly one frame"};
-    return result;
-  }
-  if (scan.header.kind != FrameKind::CancelRequest) {
-    result.error = {WireErrorCode::BadFrameKind, "expected a cancel frame"};
-    return result;
-  }
-  if (scan.header.payload_size != 0) {
-    result.error = {WireErrorCode::Malformed,
-                    "cancel frames carry no payload"};
-    return result;
-  }
-  CancelFrame frame;
-  frame.request_id = scan.header.request_id;
-  frame.trace_id = scan.header.trace_id;
-  result.value = frame;
-  return result;
+  return {CancelFrame{header.value->request_id, header.value->trace_id}, {}};
 }
 
 std::vector<std::uint8_t> encode_span_batch_frame(
     std::uint64_t request_id, const trace::SpanBatch& batch) {
-  return encode_frame(
-      FrameKind::SpanBatch, request_id, kProtocolVersion, 0, [&](Encoder& e) {
-        e.str(batch.node);
-        e.i64(batch.send_ns);
-        e.u64(batch.dropped);
-        e.length(batch.spans.size());
-        for (const trace::ExportSpan& span : batch.spans) {
-          e.str(span.name);
-          e.str(span.arg_name);
-          e.i64(span.arg);
-          e.u64(span.id);
-          e.u64(span.parent);
-          e.u64(span.trace_id);
-          e.u32(span.thread);
-          e.u8(static_cast<std::uint8_t>(span.category));
-          e.i64(span.start_ns);
-          e.i64(span.dur_ns);
-        }
-      });
+  return encode_frame(FrameKind::SpanBatch, request_id, 0, [&](Encoder& e) {
+    e.str(batch.node);
+    e.i64(batch.send_ns);
+    e.u64(batch.dropped);
+    e.length(batch.spans.size());
+    for (const trace::ExportSpan& span : batch.spans) {
+      e.str(span.name);
+      e.str(span.arg_name);
+      e.i64(span.arg);
+      e.u64(span.id);
+      e.u64(span.parent);
+      e.u64(span.trace_id);
+      e.u32(span.thread);
+      e.u8(static_cast<std::uint8_t>(span.category));
+      e.i64(span.start_ns);
+      e.i64(span.dur_ns);
+    }
+  });
 }
 
 DecodeResult<SpanBatchFrame> decode_span_batch_frame(const std::uint8_t* data,
                                                      std::size_t size) {
-  DecodeResult<SpanBatchFrame> result;
-  const FrameScan scan = scan_frame(data, size);
-  if (scan.state == FrameScan::State::Bad) {
-    result.error = scan.error;
-    return result;
-  }
-  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
-    result.error = {WireErrorCode::Truncated,
-                    "buffer is not exactly one frame"};
-    return result;
-  }
-  if (scan.header.kind != FrameKind::SpanBatch) {
-    result.error = {WireErrorCode::BadFrameKind, "expected a span batch frame"};
-    return result;
-  }
-
+  const auto header =
+      open_frame(data, size, FrameKind::SpanBatch, "span batch");
+  if (!header.ok()) return {std::nullopt, header.error};
   SpanBatchFrame frame;
-  frame.request_id = scan.header.request_id;
-  Decoder d(data + header_size(scan.header.version),
-            scan.header.payload_size);
+  frame.request_id = header.value->request_id;
+  Decoder d(data + kHeaderSize, header.value->payload_size);
   frame.batch.node = d.str();
   frame.batch.send_ns = d.i64();
   frame.batch.dropped = d.u64();
@@ -1246,175 +1208,72 @@ DecodeResult<SpanBatchFrame> decode_span_batch_frame(const std::uint8_t* data,
     }
     frame.batch.spans.push_back(std::move(span));
   }
-  d.expect_end();
-  if (!d.ok()) {
-    result.error = d.error();
-    return result;
-  }
-  result.value = std::move(frame);
-  return result;
+  return finish(d, std::move(frame));
 }
 
 DecodeResult<RequestFrame> decode_request_frame(const std::uint8_t* data,
                                                 std::size_t size) {
-  DecodeResult<RequestFrame> result;
-  const FrameScan scan = scan_frame(data, size);
-  if (scan.state == FrameScan::State::Bad) {
-    result.error = scan.error;
-    return result;
-  }
-  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
-    result.error = {WireErrorCode::Truncated,
-                    "buffer is not exactly one frame"};
-    return result;
-  }
-  if (scan.header.kind != FrameKind::Request) {
-    result.error = {WireErrorCode::BadFrameKind,
-                    "expected a request frame, got a response frame"};
-    return result;
-  }
-
+  const auto header = open_frame(data, size, FrameKind::Request, "request");
+  if (!header.ok()) return {std::nullopt, header.error};
   RequestFrame frame;
-  frame.request_id = scan.header.request_id;
-  frame.version = scan.header.version;
-  frame.trace_id = scan.header.trace_id;
-  Decoder d(data + header_size(scan.header.version),
-            scan.header.payload_size);
+  frame.request_id = header.value->request_id;
+  frame.trace_id = header.value->trace_id;
+  Decoder d(data + kHeaderSize, header.value->payload_size);
   frame.deadline_ms = d.u32();
-  frame.request = decode_request(d, scan.header.version);
-  if (d.ok() && scan.header.version >= 2 && d.remaining() >= 1) {
-    frame.priority =
-        decode_enum<qos::PriorityClass>(d, 2, "PriorityClass");
-  } else {
-    // v1 frame, or a v2 client from before the QoS extension: the
-    // request type's default class (test-enforced compatibility).
-    frame.priority = qos::default_priority(frame.request);
-  }
-  d.expect_end();
-  if (!d.ok()) {
-    result.error = d.error();
-    return result;
-  }
-  result.value = std::move(frame);
-  return result;
+  frame.request = decode_request(d);
+  require_tail(d, 1, "priority byte");
+  frame.priority = decode_enum<qos::PriorityClass>(d, 2, "PriorityClass");
+  return finish(d, std::move(frame));
 }
 
 DecodeResult<ResponseFrame> decode_response_frame(const std::uint8_t* data,
                                                   std::size_t size) {
-  DecodeResult<ResponseFrame> result;
-  const FrameScan scan = scan_frame(data, size);
-  if (scan.state == FrameScan::State::Bad) {
-    result.error = scan.error;
-    return result;
-  }
-  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
-    result.error = {WireErrorCode::Truncated,
-                    "buffer is not exactly one frame"};
-    return result;
-  }
-  if (scan.header.kind != FrameKind::Response) {
-    result.error = {WireErrorCode::BadFrameKind,
-                    "expected a response frame, got a request frame"};
-    return result;
-  }
-
+  const auto header = open_frame(data, size, FrameKind::Response, "response");
+  if (!header.ok()) return {std::nullopt, header.error};
   ResponseFrame frame;
-  frame.request_id = scan.header.request_id;
-  frame.version = scan.header.version;
-  frame.trace_id = scan.header.trace_id;
-  Decoder d(data + header_size(scan.header.version),
-            scan.header.payload_size);
+  frame.request_id = header.value->request_id;
+  frame.trace_id = header.value->trace_id;
+  Decoder d(data + kHeaderSize, header.value->payload_size);
   frame.response.status = decode_status(d);
   frame.response.cache_hit = d.boolean();
   frame.response.latency = std::chrono::nanoseconds(d.i64());
-  frame.response.payload = decode_payload(d, scan.header.version);
-  if (d.ok() && scan.header.version >= 2 && d.remaining() >= 5) {
-    const std::uint8_t flags = d.u8();
-    if (d.ok() && (flags & ~std::uint8_t{1}) != 0) {
-      d.fail(WireErrorCode::Malformed,
-             "bad qos flags byte " + std::to_string(flags));
-    }
-    frame.response.sampled = (flags & 1) != 0;
-    frame.response.status.retry_after_ms = d.u32();
+  frame.response.payload = decode_payload(d);
+  require_tail(d, 5, "qos flags and retry-after tail");
+  const std::uint8_t flags = d.u8();
+  if (d.ok() && (flags & ~std::uint8_t{1}) != 0) {
+    d.fail(WireErrorCode::Malformed,
+           "bad qos flags byte " + std::to_string(flags));
   }
-  d.expect_end();
-  if (!d.ok()) {
-    result.error = d.error();
-    return result;
-  }
-  result.value = std::move(frame);
-  return result;
+  frame.response.sampled = (flags & 1) != 0;
+  frame.response.status.retry_after_ms = d.u32();
+  return finish(d, std::move(frame));
 }
 
 DecodeResult<HelloFrame> decode_hello_frame(const std::uint8_t* data,
                                             std::size_t size) {
-  DecodeResult<HelloFrame> result;
-  const FrameScan scan = scan_frame(data, size);
-  if (scan.state == FrameScan::State::Bad) {
-    result.error = scan.error;
-    return result;
-  }
-  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
-    result.error = {WireErrorCode::Truncated,
-                    "buffer is not exactly one frame"};
-    return result;
-  }
-  if (scan.header.kind != FrameKind::Hello) {
-    result.error = {WireErrorCode::BadFrameKind, "expected a Hello frame"};
-    return result;
-  }
-
+  const auto header = open_frame(data, size, FrameKind::Hello, "Hello");
+  if (!header.ok()) return {std::nullopt, header.error};
   HelloFrame frame;
-  frame.request_id = scan.header.request_id;
-  Decoder d(data + header_size(scan.header.version),
-            scan.header.payload_size);
+  frame.request_id = header.value->request_id;
+  Decoder d(data + kHeaderSize, header.value->payload_size);
   frame.min_version = d.u16();
   frame.max_version = d.u16();
-  d.expect_end();
-  if (!d.ok()) {
-    result.error = d.error();
-    return result;
+  if (d.ok() && frame.min_version > frame.max_version) {
+    d.fail(WireErrorCode::Malformed, "Hello min_version above max_version");
   }
-  if (frame.min_version > frame.max_version) {
-    result.error = {WireErrorCode::Malformed,
-                    "Hello min_version above max_version"};
-    return result;
-  }
-  result.value = frame;
-  return result;
+  return finish(d, frame);
 }
 
 DecodeResult<HelloAckFrame> decode_hello_ack_frame(const std::uint8_t* data,
                                                    std::size_t size) {
-  DecodeResult<HelloAckFrame> result;
-  const FrameScan scan = scan_frame(data, size);
-  if (scan.state == FrameScan::State::Bad) {
-    result.error = scan.error;
-    return result;
-  }
-  if (scan.state == FrameScan::State::NeedMore || scan.frame_size != size) {
-    result.error = {WireErrorCode::Truncated,
-                    "buffer is not exactly one frame"};
-    return result;
-  }
-  if (scan.header.kind != FrameKind::HelloAck) {
-    result.error = {WireErrorCode::BadFrameKind, "expected a HelloAck frame"};
-    return result;
-  }
-
+  const auto header = open_frame(data, size, FrameKind::HelloAck, "HelloAck");
+  if (!header.ok()) return {std::nullopt, header.error};
   HelloAckFrame frame;
-  frame.request_id = scan.header.request_id;
-  Decoder d(data + header_size(scan.header.version),
-            scan.header.payload_size);
+  frame.request_id = header.value->request_id;
+  Decoder d(data + kHeaderSize, header.value->payload_size);
   frame.status = decode_status(d);
   frame.agreed_version = d.u16();
-  d.expect_end();
-  if (!d.ok()) {
-    result.error = d.error();
-    return result;
-  }
-  result.value = std::move(frame);
-  return result;
+  return finish(d, std::move(frame));
 }
 
 }  // namespace mpct::wire

@@ -15,49 +15,33 @@ namespace mpct::wire {
 /// that byte sequence read as a little-endian u32).
 inline constexpr std::uint32_t kMagic = 0x5443504Du;
 
-/// Bumped on any incompatible change to the frame header or payload
-/// encodings.  A decoder rejects frames from a version it does not
-/// speak with WireErrorCode::UnsupportedVersion — see the versioning
-/// policy in docs/NET.md.
-///
-/// v2 (current): appends a 64-bit trace id to the header and adds the
-/// control frame kinds (Ping/Pong/Hello/HelloAck) plus the chunked
-/// sweep request/response payloads used by the cluster tier.
+/// The one wire version.  Every frame carries it in its header, and a
+/// frame carrying any other value is a broken stream
+/// (WireErrorCode::UnsupportedVersion) — see the versioning policy in
+/// docs/NET.md.  Bumped on any incompatible change to the frame header
+/// or payload encodings.
 inline constexpr std::uint16_t kProtocolVersion = 2;
 
-/// Oldest version this build still decodes.  A v1 client talking to a
-/// v2 server keeps working: the server answers each frame at the
-/// version the frame arrived with.
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+/// Lower end of the range a Hello advertises.  There is one version, so
+/// it equals kProtocolVersion.
+inline constexpr std::uint16_t kMinProtocolVersion = kProtocolVersion;
 
-/// Frame-header layout.  Offsets shared by both versions:
+/// Frame-header layout, the same for every frame kind:
 ///
 ///   offset  size  field
 ///        0     4  magic ("MPCT")
-///        4     2  protocol version
+///        4     2  protocol version (kProtocolVersion)
 ///        6     1  frame kind (see FrameKind)
 ///        7     1  reserved (must be 0)
 ///        8     8  request id (client-chosen; responses echo it, which
 ///                 is what makes pipelined/out-of-order completion work)
 ///       16     4  payload byte length
-///
-/// A v1 header ends there (20 bytes).  A v2 header appends:
-///
 ///       20     8  trace id (0 = untraced); responses echo the
 ///                 request's, so one distributed trace can stitch
 ///                 client and server spans together
 ///
-/// and the payload follows the header either way.
-inline constexpr std::size_t kHeaderSizeV1 = 20;
-inline constexpr std::size_t kHeaderSizeV2 = 28;
-
-/// Header size of a current-version (v2) frame — what this build's
-/// encode_*_frame helpers emit by default.
-inline constexpr std::size_t kHeaderSize = kHeaderSizeV2;
-
-constexpr std::size_t header_size(std::uint16_t version) {
-  return version >= 2 ? kHeaderSizeV2 : kHeaderSizeV1;
-}
+/// The payload follows the header.
+inline constexpr std::size_t kHeaderSize = 28;
 
 /// Hard payload ceiling.  A frame announcing more than this is rejected
 /// before any allocation — the stream is treated as garbage.
@@ -70,40 +54,36 @@ enum class FrameKind : std::uint8_t {
   /// request id.  Drives the cluster health state machine.
   Ping = 3,
   Pong = 4,
-  /// Version negotiation.  A client opens with Hello advertising its
-  /// [min, max] version range; the server answers HelloAck with the
-  /// agreed version (the highest both speak) or an UnsupportedVersion
-  /// status.  Hello/HelloAck always travel with a v1 header so the
-  /// handshake itself is readable by every version.
+  /// Version check.  A client opens with Hello advertising its
+  /// [min, max] version range; the server answers HelloAck with
+  /// kProtocolVersion when the range holds it, or an UnsupportedVersion
+  /// status.
   Hello = 5,
   HelloAck = 6,
   /// One flight-recorder span batch streamed at a trace collector
   /// (fire-and-forget: no response frame — back-pressure is TCP flow
   /// control, and a sender that cannot write sheds batches locally,
-  /// counting the drop).  v2-only; a v1 header carrying this kind is
-  /// rejected by scan_frame.
+  /// counting the drop).
   SpanBatch = 7,
   /// Server-side cancellation: the header's request id names an earlier
   /// request on the *same connection* that the client no longer wants
   /// (typically a hedged duplicate whose sibling already answered).
   /// Empty payload, fire-and-forget — the cancelled request's own
   /// response (Cancelled if the cancel won the race, the real result if
-  /// it lost) is the acknowledgement.  v2-only; a v1 header carrying
-  /// this kind is rejected by scan_frame.
+  /// it lost) is the acknowledgement.
   CancelRequest = 8,
 };
 
 struct FrameHeader {
   FrameKind kind = FrameKind::Request;
-  std::uint16_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::uint32_t payload_size = 0;
-  std::uint64_t trace_id = 0;  ///< always 0 on v1 frames
+  std::uint64_t trace_id = 0;
 };
 
-/// Pick the version a server should answer a Hello with: the highest
-/// version both sides speak, or nullopt when the ranges do not
-/// intersect (→ answer with Status::unsupported_version).
+/// Answer a Hello advertising [@p client_min, @p client_max]:
+/// kProtocolVersion when the range holds it, else nullopt (→ answer
+/// with Status::unsupported_version).
 std::optional<std::uint16_t> negotiate_version(std::uint16_t client_min,
                                                std::uint16_t client_max);
 
@@ -133,13 +113,10 @@ struct RequestFrame {
   std::uint64_t request_id = 0;
   std::uint32_t deadline_ms = 0;
   service::Request request;
-  std::uint16_t version = kProtocolVersion;  ///< version the frame arrived at
-  std::uint64_t trace_id = 0;                ///< 0 on v1 frames / untraced
-  /// QoS class, carried as a single byte appended to the v2 payload.
-  /// v1 frames — and v2 frames from clients that predate the extension
-  /// — decode to the request type's default class (point queries
-  /// Interactive, grid work Batch), so an unaware client is never
-  /// penalised for not sending the byte.
+  std::uint64_t trace_id = 0;  ///< 0 = untraced
+  /// QoS class, the payload's mandatory last byte.  Encoders default it
+  /// to the request type's class (point queries Interactive, grid work
+  /// Batch); a payload without it is Malformed.
   qos::PriorityClass priority = qos::PriorityClass::Interactive;
 };
 
@@ -148,7 +125,6 @@ struct RequestFrame {
 struct ResponseFrame {
   std::uint64_t request_id = 0;
   service::QueryResponse response;
-  std::uint16_t version = kProtocolVersion;
   std::uint64_t trace_id = 0;
 };
 
@@ -160,7 +136,7 @@ struct HelloFrame {
 };
 
 /// A decoded HelloAck.  `agreed_version` is meaningful only when
-/// `status.ok()`; on UnsupportedVersion it echoes the server's max.
+/// `status.ok()`; on UnsupportedVersion it echoes kProtocolVersion.
 struct HelloAckFrame {
   std::uint64_t request_id = 0;
   service::Status status;
@@ -191,29 +167,26 @@ struct DecodeResult {
   bool ok() const { return value.has_value(); }
 };
 
-/// Encode one complete request frame (header + payload) at @p version.
-/// Chunk requests (SweepChunk/FaultChunk) exist only at v2+; encoding
-/// one at v1 produces a frame any compliant decoder rejects, so don't.
+/// Encode one complete request frame (header + payload).  @p version
+/// is written into the header verbatim: any value but kProtocolVersion
+/// yields a frame every decoder rejects as UnsupportedVersion.
 /// @p priority defaults to the request type's class
 /// (qos::default_priority); pass one explicitly to override — e.g. a
-/// replay soak tags everything Background.  v1 frames cannot carry the
-/// byte, so an explicit priority is silently dropped at version 1.
+/// replay soak tags everything Background.
 std::vector<std::uint8_t> encode_request_frame(
     std::uint64_t request_id, const service::Request& request,
     std::uint32_t deadline_ms = 0, std::uint16_t version = kProtocolVersion,
     std::uint64_t trace_id = 0,
     std::optional<qos::PriorityClass> priority = std::nullopt);
 
-/// Encode one complete response frame (header + payload) at @p version.
-/// Covers every Status (error responses travel exactly like results)
-/// and every ResponsePayload alternative.  Servers answer at the
-/// version the request frame arrived with.
+/// Encode one complete response frame (header + payload).  Covers
+/// every Status (error responses travel exactly like results) and every
+/// ResponsePayload alternative.
 std::vector<std::uint8_t> encode_response_frame(
     std::uint64_t request_id, const service::QueryResponse& response,
-    std::uint16_t version = kProtocolVersion, std::uint64_t trace_id = 0);
+    std::uint64_t trace_id = 0);
 
-/// Control frames.  Ping/Pong carry an empty payload; Hello/HelloAck
-/// always travel with a v1 header (see FrameKind::Hello).
+/// Control frames.  Ping/Pong carry an empty payload.
 std::vector<std::uint8_t> encode_ping_frame(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_pong_frame(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_hello_frame(std::uint64_t request_id,
@@ -223,14 +196,12 @@ std::vector<std::uint8_t> encode_hello_ack_frame(std::uint64_t request_id,
                                                  const service::Status& status,
                                                  std::uint16_t agreed_version);
 
-/// Encode one CancelRequest (always a v2 header — cancellation does
-/// not exist at v1; a client that negotiated v1 simply never sends
-/// one).  Empty payload; the header's request id is the target.
+/// Encode one CancelRequest.  Empty payload; the header's request id is
+/// the target.
 std::vector<std::uint8_t> encode_cancel_frame(std::uint64_t request_id,
                                               std::uint64_t trace_id = 0);
 
-/// Encode one span batch (always a v2 header; the streamer never talks
-/// to v1 peers — negotiation happens before streaming starts).
+/// Encode one span batch.
 std::vector<std::uint8_t> encode_span_batch_frame(
     std::uint64_t request_id, const trace::SpanBatch& batch);
 

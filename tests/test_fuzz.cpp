@@ -327,7 +327,7 @@ TEST(Fuzz, WireDecoderSurvivesRandomBytesBehindAValidHeader) {
     frame[1] = 'P';
     frame[2] = 'C';
     frame[3] = 'T';
-    frame[4] = 2;  // version (LE); v2 headers span the full kHeaderSize
+    frame[4] = 2;  // version (LE): kProtocolVersion
     frame[5] = 0;
     frame[6] = static_cast<std::uint8_t>(1 + rng.next_below(2));  // kind
     frame[7] = 0;  // reserved
@@ -355,8 +355,8 @@ TEST(Fuzz, WireDecoderSurvivesBitFlippedValidFrames) {
   recommend.requirements.min_flexibility = 2;
   recommend.top_k = 3;
   const service::Request request{std::move(recommend)};
-  // The simulate pair exercises the v2-only codec paths (workload spec,
-  // fault set, run options, result) under corruption as well.
+  // The simulate pair exercises the simulate codec paths (workload
+  // spec, fault set, run options, result) under corruption as well.
   service::SimulateRequest simulate;
   simulate.target = *canonical_class(*parse_taxonomic_name("IMP-IV"));
   simulate.options.width = 4;
@@ -413,9 +413,10 @@ TEST(Fuzz, WireDecoderSurvivesEveryTruncationPrefix) {
 TEST(Fuzz, PriorityExtensionAndCancelFramesSurviveEveryTruncation) {
   // A request frame with an explicit priority byte: every proper prefix
   // must be rejected (NeedMore or a typed error), only the whole frame
-  // decodes.  The one-byte-short case in particular must *not* decode
-  // as a priority-less frame here — the header still promises the
-  // longer payload.
+  // decodes.  The one-byte-short case in particular fails on framing:
+  // the header still promises the longer payload.  (A frame whose
+  // header agrees with a payload lacking the byte is Malformed — see
+  // QosWire.FramesWithoutTheirQosTailAreMalformed.)
   service::RecommendRequest recommend;
   recommend.top_k = 2;
   const auto tagged = wire::encode_request_frame(

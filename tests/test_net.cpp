@@ -205,6 +205,19 @@ class RawPeer {
            ::poll(&pfd, 1, static_cast<int>(wait.count())) == 0;
   }
 
+  /// True when the server closes the connection within @p wait without
+  /// sending a byte first.
+  bool closed_within(std::chrono::milliseconds wait) {
+    pollfd pfd{sock_.fd(), POLLIN, 0};
+    if (!in_.empty() ||
+        ::poll(&pfd, 1, static_cast<int>(wait.count())) <= 0) {
+      return false;
+    }
+    std::uint8_t byte = 0;
+    const ssize_t n = ::recv(sock_.fd(), &byte, 1, 0);
+    return n == 0 || (n < 0 && errno == ECONNRESET);
+  }
+
  private:
   net::Socket sock_;
   std::vector<std::uint8_t> in_;
@@ -500,36 +513,95 @@ TEST(NetVersion, NegotiateAgreesOnTheHighestCommonVersion) {
   net::Client client(client_options(server.port()));
   const auto status = client.negotiate();
   ASSERT_TRUE(status.ok()) << status.to_string();
-  EXPECT_EQ(client.agreed_version(), wire::kProtocolVersion);
+  // The Hello the client sends is acked with this build's version.
+  const auto reply = raw_exchange(
+      server.port(), wire::encode_hello_frame(3, wire::kMinProtocolVersion,
+                                              wire::kProtocolVersion));
+  const auto ack = wire::decode_hello_ack_frame(reply.data(), reply.size());
+  ASSERT_TRUE(ack.ok()) << ack.error.to_string();
+  EXPECT_EQ(ack.value->agreed_version, wire::kProtocolVersion);
   // The negotiated connection still serves traffic.
   EXPECT_TRUE(client.call(classify_spec_request()).ok());
 }
 
-TEST(NetVersion, OldV1ClientIsStillServed) {
+TEST(NetVersion, OldV1ClientIsClosedAndCounted) {
   service::EngineOptions options;
   options.worker_threads = 2;
   service::QueryEngine engine(options);
   net::Server server(engine);
   ASSERT_TRUE(server.start()) << server.error();
 
+  // A request as an old v1 binary framed it: the 20-byte header (no
+  // trace id) and a payload without the trailing priority byte.
+  const Request request = classify_spec_request();
+  const auto current = wire::encode_request_frame(7, request);
+  const std::uint32_t payload_size =
+      static_cast<std::uint32_t>(current.size() - wire::kHeaderSize - 1);
+  std::vector<std::uint8_t> v1_frame(current.begin(), current.begin() + 20);
+  v1_frame[4] = 1;  // version, little-endian
+  v1_frame[5] = 0;
+  std::memcpy(v1_frame.data() + 16, &payload_size, sizeof(payload_size));
+  v1_frame.insert(v1_frame.end(), current.begin() + wire::kHeaderSize,
+                  current.end() - 1);
+
+  // Another version is a broken stream: no answer, the connection is
+  // closed, and the decode error is counted once.
+  const std::uint64_t errors_before =
+      engine.metrics().net_decode_errors.value();
+  RawPeer v1_peer(server.port());
+  ASSERT_TRUE(v1_peer.valid());
+  ASSERT_TRUE(v1_peer.send_all(v1_frame));
+  EXPECT_TRUE(v1_peer.closed_within(std::chrono::seconds(5)));
+  EXPECT_EQ(engine.metrics().net_decode_errors.value(), errors_before + 1);
+
+  // The server keeps serving negotiated clients.
   service::EngineOptions ref_options;
   ref_options.worker_threads = 0;
   service::QueryEngine reference(ref_options);
-
-  // A client pinned to protocol v1 (an old binary): every request frame
-  // goes out with the short header, and the server must answer each at
-  // v1 — bit-identical payloads, no version bleed.
-  net::ClientOptions copts = client_options(server.port());
-  copts.protocol_version = 1;
-  net::Client v1_client(copts);
-  const auto status = v1_client.negotiate();
+  net::Client client(client_options(server.port()));
+  const auto status = client.negotiate();
   ASSERT_TRUE(status.ok()) << status.to_string();
-  EXPECT_EQ(v1_client.agreed_version(), 1u);
-  for (const Request& request : all_requests()) {
-    const QueryResponse wire_response = v1_client.call(request);
-    ASSERT_TRUE(wire_response.ok()) << wire_response.status.to_string();
-    expect_payload_parity(wire_response, reference.execute(request));
-  }
+  const QueryResponse wire_response = client.call(request);
+  ASSERT_TRUE(wire_response.ok()) << wire_response.status.to_string();
+  expect_payload_parity(wire_response, reference.execute(request));
+}
+
+TEST(NetVersion, RequestWithoutItsPriorityByteGetsProtocolErrorInBand) {
+  service::EngineOptions options;
+  options.worker_threads = 1;
+  service::QueryEngine engine(options);
+  net::Server server(engine);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  // A request from before the QoS extension: the current header, with a
+  // payload length consistent with a payload one byte short.  The
+  // framing is intact, so the server answers in-band and keeps reading.
+  const Request request = classify_spec_request();
+  std::vector<std::uint8_t> short_frame =
+      wire::encode_request_frame(8, request);
+  short_frame.pop_back();
+  const std::uint32_t payload_size =
+      static_cast<std::uint32_t>(short_frame.size() - wire::kHeaderSize);
+  std::memcpy(short_frame.data() + 16, &payload_size, sizeof(payload_size));
+
+  const std::uint64_t errors_before =
+      engine.metrics().net_decode_errors.value();
+  RawPeer peer(server.port());
+  ASSERT_TRUE(peer.valid());
+  ASSERT_TRUE(peer.send_all(short_frame));
+  auto frames = peer.read_frames(1);
+  ASSERT_EQ(frames.size(), 1u);
+  const auto rejected =
+      wire::decode_response_frame(frames[0].data(), frames[0].size());
+  ASSERT_TRUE(rejected.ok()) << rejected.error.to_string();
+  EXPECT_EQ(rejected.value->request_id, 8u);
+  EXPECT_EQ(rejected.value->response.status.code, StatusCode::ProtocolError);
+  EXPECT_EQ(engine.metrics().net_decode_errors.value(), errors_before + 1);
+
+  // The same stream still serves a whole frame.
+  ASSERT_TRUE(peer.send_all(wire::encode_request_frame(9, request)));
+  frames = peer.read_frames(1);
+  expect_answers_match_inline(frames, {{9, request}});
 }
 
 TEST(NetVersion, ImpossibleRangeGetsTypedUnsupportedVersion) {
@@ -539,15 +611,20 @@ TEST(NetVersion, ImpossibleRangeGetsTypedUnsupportedVersion) {
   net::Server server(engine);
   ASSERT_TRUE(server.start()) << server.error();
 
-  // A future client speaking only versions we do not: the server must
-  // answer a typed UnsupportedVersion HelloAck, not cut the stream.
-  const auto hello = wire::encode_hello_frame(4, 99, 104);
-  const auto reply = raw_exchange(server.port(), hello);
-  ASSERT_FALSE(reply.empty());
-  const auto ack = wire::decode_hello_ack_frame(reply.data(), reply.size());
-  ASSERT_TRUE(ack.ok()) << ack.error.to_string();
-  EXPECT_EQ(ack.value->request_id, 4u);
-  EXPECT_EQ(ack.value->status.code, StatusCode::UnsupportedVersion);
+  // A client speaking only versions we do not — a future one, or an old
+  // v1-only one: the server must answer a typed UnsupportedVersion
+  // HelloAck, not cut the stream.
+  const std::pair<std::uint16_t, std::uint16_t> ranges[] = {{99, 104}, {1, 1}};
+  for (const auto& [min_version, max_version] : ranges) {
+    const auto hello = wire::encode_hello_frame(4, min_version, max_version);
+    const auto reply = raw_exchange(server.port(), hello);
+    ASSERT_FALSE(reply.empty()) << min_version << ".." << max_version;
+    const auto ack = wire::decode_hello_ack_frame(reply.data(), reply.size());
+    ASSERT_TRUE(ack.ok()) << ack.error.to_string();
+    EXPECT_EQ(ack.value->request_id, 4u);
+    EXPECT_EQ(ack.value->status.code, StatusCode::UnsupportedVersion)
+        << min_version << ".." << max_version;
+  }
 }
 
 TEST(NetVersion, PingPongRoundTrips) {

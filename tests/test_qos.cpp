@@ -1,7 +1,7 @@
 /// QoS serving path (src/qos): priority classes, weighted fair
 /// queueing, the admission controller's degrade/shed ladder, server-
-/// side cancellation, trace-collector retention, and the wire-level
-/// compatibility rules for clients that predate all of it.
+/// side cancellation, trace-collector retention, and the QoS fields'
+/// place on the wire.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -124,11 +124,18 @@ TEST(WfqQueue, TryPushRespectsPerClassCapacityAndLeavesItemUntouched) {
 
   // Capacity is per class: Batch admission is independent of the
   // Interactive backlog.
-  EXPECT_FALSE(queue.has_room(PriorityClass::Interactive, 1));
-  EXPECT_TRUE(queue.has_room(PriorityClass::Batch, 2));
-  EXPECT_FALSE(queue.has_room(PriorityClass::Batch, 3));
-  std::string d = "d";
-  EXPECT_TRUE(queue.try_push(PriorityClass::Batch, d));
+  std::string e = "e";
+  EXPECT_FALSE(queue.try_push(PriorityClass::Interactive, e));
+  std::vector<std::string> three = {"x", "y", "z"};
+  EXPECT_FALSE(
+      queue.try_push(PriorityClass::Batch, std::span<std::string>(three)));
+  EXPECT_EQ(queue.size(PriorityClass::Batch), 0u);
+  std::vector<std::string> two = {"d", "e"};
+  EXPECT_TRUE(
+      queue.try_push(PriorityClass::Batch, std::span<std::string>(two)));
+  std::string f = "f";
+  EXPECT_FALSE(queue.try_push(PriorityClass::Batch, f));
+  EXPECT_EQ(f, "f");
 }
 
 TEST(WfqQueue, CloseDrainsQueuedItemsThenUnblocksPop) {
@@ -676,26 +683,24 @@ TEST(QosEngine, QosOnLetsInteractiveJumpQueuedBackgroundWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire compatibility: clients that predate QoS (v1, or v2 without the
-// trailing priority byte) must decode to the request type's default
-// class — an unaware client is never accidentally reclassified.
+// Wire: the priority byte is a mandatory payload field.  An encoder
+// not told a class writes the request type's default, and a frame
+// without the byte (or a response without its QoS tail) is Malformed.
 
 service::Request classify_request() {
   return service::Request{
       service::ClassifyRequest::of(arch::surveyed_architectures().front())};
 }
 
-TEST(QosWire, V1FramesDecodeToTheRequestTypesDefaultClass) {
-  const auto classify =
-      wire::encode_request_frame(1, classify_request(), 100, /*version=*/1);
+TEST(QosWire, UnsetPriorityEncodesTheRequestTypesDefaultClass) {
+  const auto classify = wire::encode_request_frame(1, classify_request(), 100);
   const auto decoded_classify =
       wire::decode_request_frame(classify.data(), classify.size());
   ASSERT_TRUE(decoded_classify.ok()) << decoded_classify.error.to_string();
   EXPECT_EQ(decoded_classify.value->priority, PriorityClass::Interactive);
 
   const Request sweep{service::SweepRequest{qos_grid()}};
-  const auto sweep_frame =
-      wire::encode_request_frame(2, sweep, 100, /*version=*/1);
+  const auto sweep_frame = wire::encode_request_frame(2, sweep, 100);
   const auto decoded_sweep =
       wire::decode_request_frame(sweep_frame.data(), sweep_frame.size());
   ASSERT_TRUE(decoded_sweep.ok()) << decoded_sweep.error.to_string();
@@ -710,31 +715,47 @@ TEST(QosWire, ExplicitPriorityRidesV2AndIsDroppedAtV1) {
   ASSERT_TRUE(decoded_v2.ok()) << decoded_v2.error.to_string();
   EXPECT_EQ(decoded_v2.value->priority, PriorityClass::Background);
 
-  // v1 has no byte to carry the class: an explicit one is silently
-  // dropped and the decoder falls back to the type default.
+  // A frame stamped v1 is dropped whole: no class is ever read from it.
   const auto v1 = wire::encode_request_frame(4, classify_request(), 100,
                                              /*version=*/1, 0,
                                              PriorityClass::Background);
   const auto decoded_v1 = wire::decode_request_frame(v1.data(), v1.size());
-  ASSERT_TRUE(decoded_v1.ok()) << decoded_v1.error.to_string();
-  EXPECT_EQ(decoded_v1.value->priority, PriorityClass::Interactive);
+  ASSERT_FALSE(decoded_v1.ok());
+  EXPECT_EQ(decoded_v1.error.code, wire::WireErrorCode::UnsupportedVersion);
 }
 
-TEST(QosWire, PreQosV2FramesWithoutThePriorityByteStillDecode) {
-  // Simulate a v2 client from before the QoS extension: same header,
-  // payload one byte shorter.  The decoder must treat the missing
-  // extension as "use the request type's default".
-  const Request sweep{service::SweepRequest{qos_grid()}};
-  std::vector<std::uint8_t> frame = wire::encode_request_frame(5, sweep, 100);
+/// @p frame with its last @p bytes cut off and the header's payload
+/// length shrunk to match, so the framing stays consistent.
+std::vector<std::uint8_t> without_tail(std::vector<std::uint8_t> frame,
+                                       std::size_t bytes) {
   std::uint32_t payload_size = 0;
   std::memcpy(&payload_size, frame.data() + 16, sizeof(payload_size));
-  payload_size -= 1;
+  payload_size -= static_cast<std::uint32_t>(bytes);
   std::memcpy(frame.data() + 16, &payload_size, sizeof(payload_size));
-  frame.pop_back();
+  frame.resize(frame.size() - bytes);
+  return frame;
+}
 
-  const auto decoded = wire::decode_request_frame(frame.data(), frame.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.error.to_string();
-  EXPECT_EQ(decoded.value->priority, PriorityClass::Batch);
+TEST(QosWire, FramesWithoutTheirQosTailAreMalformed) {
+  // A request as a client from before the QoS extension sent it: same
+  // header, payload one byte shorter.
+  const Request sweep{service::SweepRequest{qos_grid()}};
+  const auto request =
+      without_tail(wire::encode_request_frame(5, sweep, 100), 1);
+  const auto decoded_request =
+      wire::decode_request_frame(request.data(), request.size());
+  ASSERT_FALSE(decoded_request.ok());
+  EXPECT_EQ(decoded_request.error.code, wire::WireErrorCode::Malformed);
+
+  // A response without its 5-byte flags + retry-after tail.
+  QueryResponse overloaded;
+  overloaded.status = service::Status::overloaded("shed", 40);
+  const auto response =
+      without_tail(wire::encode_response_frame(6, overloaded), 5);
+  const auto decoded_response =
+      wire::decode_response_frame(response.data(), response.size());
+  ASSERT_FALSE(decoded_response.ok());
+  EXPECT_EQ(decoded_response.error.code, wire::WireErrorCode::Malformed);
 }
 
 TEST(QosWire, CancelFrameRoundTripsAndRejectsEveryTruncation) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,12 +166,72 @@ TEST(FrameScan, BadMagicIsRejectedEvenFromAPrefix) {
   }
 }
 
+/// The typed error of a failed decode, nullopt when it succeeded.
+template <typename T>
+std::optional<WireErrorCode> error_of(const DecodeResult<T>& decoded) {
+  if (decoded.ok()) return std::nullopt;
+  return decoded.error.code;
+}
+
 TEST(FrameScan, VersionSkewIsTyped) {
-  auto frame = encode_request_frame(1, classify_spec_request());
-  frame[4] = 0xFF;  // version low byte
-  const FrameScan scan = scan_frame(frame.data(), frame.size());
-  ASSERT_EQ(scan.state, FrameScan::State::Bad);
-  EXPECT_EQ(scan.error.code, WireErrorCode::UnsupportedVersion);
+  // Every frame kind the encoder emits, stamped with a version other
+  // than kProtocolVersion, is a broken stream: scan_frame and the
+  // kind's decoder (ping and pong have none) both say so, typed.
+  using Decode = std::optional<WireErrorCode> (*)(const std::uint8_t*,
+                                                  std::size_t);
+  QueryResponse response;
+  response.status = service::Status::okay();
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> frame;
+    Decode decode;
+  } cases[] = {
+      {"request", encode_request_frame(1, classify_spec_request()),
+       [](const std::uint8_t* d, std::size_t n) {
+         return error_of(decode_request_frame(d, n));
+       }},
+      {"response", encode_response_frame(2, response),
+       [](const std::uint8_t* d, std::size_t n) {
+         return error_of(decode_response_frame(d, n));
+       }},
+      {"ping", encode_ping_frame(3), nullptr},
+      {"pong", encode_pong_frame(4), nullptr},
+      {"hello", encode_hello_frame(5, kMinProtocolVersion, kProtocolVersion),
+       [](const std::uint8_t* d, std::size_t n) {
+         return error_of(decode_hello_frame(d, n));
+       }},
+      {"hello ack",
+       encode_hello_ack_frame(6, service::Status::okay(), kProtocolVersion),
+       [](const std::uint8_t* d, std::size_t n) {
+         return error_of(decode_hello_ack_frame(d, n));
+       }},
+      {"cancel", encode_cancel_frame(7),
+       [](const std::uint8_t* d, std::size_t n) {
+         return error_of(decode_cancel_frame(d, n));
+       }},
+      {"span batch", encode_span_batch_frame(8, trace::SpanBatch{}),
+       [](const std::uint8_t* d, std::size_t n) {
+         return error_of(decode_span_batch_frame(d, n));
+       }},
+  };
+  for (const auto& c : cases) {
+    for (const std::uint16_t version :
+         {std::uint16_t{0}, std::uint16_t{1}, std::uint16_t{3},
+          std::uint16_t{0xFFFF}}) {
+      std::vector<std::uint8_t> frame = c.frame;
+      frame[4] = static_cast<std::uint8_t>(version & 0xFF);  // little-endian
+      frame[5] = static_cast<std::uint8_t>(version >> 8);
+      const FrameScan scan = scan_frame(frame.data(), frame.size());
+      EXPECT_EQ(scan.state, FrameScan::State::Bad) << c.name << " v" << version;
+      EXPECT_EQ(scan.error.code, WireErrorCode::UnsupportedVersion)
+          << c.name << " v" << version;
+      if (c.decode != nullptr) {
+        EXPECT_EQ(c.decode(frame.data(), frame.size()),
+                  WireErrorCode::UnsupportedVersion)
+            << c.name << " v" << version;
+      }
+    }
+  }
 }
 
 TEST(FrameScan, BadKindAndReservedAreTyped) {
@@ -294,7 +355,7 @@ TEST(ResponseRoundTrip, EveryStatusCodeSurvivesIncludingNetOnes) {
 
 // ---------------------------------------------------------------------------
 // Golden frames: the exact bytes of every request type, every response
-// payload alternative (at both header versions), a 1408-cell sweep
+// payload alternative, a 1408-cell sweep
 // answer, a 1008-cell curve answer and every control frame, pinned by
 // FNV-1a digest.  An encoder change that alters one byte fails here, and
 // so does one that leaves a frame with spare capacity.
@@ -392,17 +453,15 @@ std::map<std::string, std::vector<std::uint8_t>> golden_frames() {
   responses.push_back(std::move(overloaded));
 
   std::map<std::string, std::vector<std::uint8_t>> frames;
-  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
-    const std::string v = " v" + std::to_string(version);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      frames["request " + std::to_string(i) + v] = encode_request_frame(
-          100 + i, requests[i], static_cast<std::uint32_t>(250 * i), version,
-          0x7ace0000 + i);
-    }
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-      frames["response " + std::to_string(i) + v] = encode_response_frame(
-          100 + i, responses[i], version, 0x7ace0000 + i);
-    }
+  // The " v2" suffix names the wire version the bytes were recorded at.
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    frames["request " + std::to_string(i) + " v2"] = encode_request_frame(
+        100 + i, requests[i], static_cast<std::uint32_t>(250 * i),
+        kProtocolVersion, 0x7ace0000 + i);
+  }
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    frames["response " + std::to_string(i) + " v2"] =
+        encode_response_frame(100 + i, responses[i], 0x7ace0000 + i);
   }
   frames["request priority"] =
       encode_request_frame(5, recommend_request(), 9, kProtocolVersion, 0,
@@ -422,61 +481,36 @@ std::map<std::string, std::vector<std::uint8_t>> golden_frames() {
 TEST(GoldenFrames, EveryFrameKeepsItsBytes) {
   const std::map<std::string, std::uint64_t> expected = {
       {"cancel", 0x03fd8fa65d5bc551ull},
-      {"hello", 0x4631d39334b17823ull},
-      {"hello ack", 0x1ebea3685ea0ec68ull},
-      {"hello nack", 0x43877aa32253876dull},
+      {"hello", 0x7dafae30fece02a0ull},
+      {"hello ack", 0x08ecba031416dfe3ull},
+      {"hello nack", 0x30456f8c3cab2494ull},
       {"ping", 0x9fd3fd1a45a1ca63ull},
       {"pong", 0xed380735cb69913full},
-      {"request 0 v1", 0x5c80af37cf630aa1ull},
       {"request 0 v2", 0x372855a1cc49e62bull},
-      {"request 1 v1", 0x5d454d73115ab65dull},
       {"request 1 v2", 0x93686b48e3ce28feull},
-      {"request 10 v1", 0x3760afa5273c3e5full},
       {"request 10 v2", 0x1e9c064ded38cf1eull},
-      {"request 11 v1", 0x5759deae1c5f6d72ull},
       {"request 11 v2", 0x3c04367eb64aa0baull},
-      {"request 2 v1", 0xa71722faf2c22123ull},
       {"request 2 v2", 0xc1064ce35a8e2a4full},
-      {"request 3 v1", 0xede8761cbaeeaed6ull},
       {"request 3 v2", 0x715dc90553242451ull},
-      {"request 4 v1", 0x69a5152ce1ebdd0dull},
       {"request 4 v2", 0x8e2a352b40ff1cf9ull},
-      {"request 5 v1", 0x54c625b2269f94a7ull},
       {"request 5 v2", 0xd4c2a72b0a5326b3ull},
-      {"request 6 v1", 0x9256deb3df6d2618ull},
       {"request 6 v2", 0x3726b1486b6bbad3ull},
-      {"request 7 v1", 0x7e2a981ec453bf45ull},
       {"request 7 v2", 0x4e6198973d7d5977ull},
-      {"request 8 v1", 0xc7c849d231afa7beull},
       {"request 8 v2", 0xab357d1fff111d07ull},
-      {"request 9 v1", 0x554bed3b29ae2540ull},
       {"request 9 v2", 0x519b97d2acf3b971ull},
       {"request priority", 0x7bab30f3505a6fcaull},
-      {"response 0 v1", 0xcf803f9f69d8e41aull},
       {"response 0 v2", 0x5fde9ec54401d686ull},
-      {"response 1 v1", 0xebb3af8735da739cull},
       {"response 1 v2", 0xf45fb6e76a6aa875ull},
-      {"response 10 v1", 0x338e3e4e1543f4cdull},
       {"response 10 v2", 0x8c86a4c3efcd1effull},
-      {"response 11 v1", 0xccef38a6e5fa1d16ull},
       {"response 11 v2", 0x1d4871b6f30408cdull},
-      {"response 12 v1", 0xd21e43a080cedfbdull},
       {"response 12 v2", 0x4f0177f13803a486ull},
-      {"response 2 v1", 0x59c7be8044ec2a84ull},
       {"response 2 v2", 0x9a295a6e6194220aull},
-      {"response 3 v1", 0x2e838bbc34734d2dull},
       {"response 3 v2", 0xf5cd97f04186a024ull},
-      {"response 4 v1", 0xb80b9468fced1ef9ull},
       {"response 4 v2", 0xba33bfabcc6f9dd5ull},
-      {"response 5 v1", 0x53884ceea38c490bull},
       {"response 5 v2", 0x4492c69d81ec85a0ull},
-      {"response 6 v1", 0x9570c942794ae778ull},
       {"response 6 v2", 0x158530a4720b63e2ull},
-      {"response 7 v1", 0x808e302a8fcec2b0ull},
       {"response 7 v2", 0xfc1fd70e4b87aab7ull},
-      {"response 8 v1", 0x81707fcbf27454deull},
       {"response 8 v2", 0xec80c7515c5b19c4ull},
-      {"response 9 v1", 0x035a8c637a12435cull},
       {"response 9 v2", 0xe729b6d54d23ec3dull},
       {"span batch", 0xe4cc6c7cdfa29f4bull},
   };
@@ -570,29 +604,8 @@ TEST(DecodeErrors, ErrorsRenderReadably) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2: per-version headers, trace ids, control frames, and the
-// v1 compatibility rules.
-
-TEST(ProtocolV2, V1FramesUseTheShortHeaderAndStillDecode) {
-  const Request request = classify_spec_request();
-  const auto frame =
-      encode_request_frame(5, request, 100, /*version=*/1);
-  const FrameScan scan = scan_frame(frame.data(), frame.size());
-  ASSERT_EQ(scan.state, FrameScan::State::Ready);
-  EXPECT_EQ(scan.header.version, 1u);
-  EXPECT_EQ(scan.header.trace_id, 0u);  // v1 has no trace field
-  EXPECT_EQ(scan.frame_size, frame.size());
-  // The v1 header is 8 bytes shorter than v2's, and a v2 request
-  // payload additionally carries the trailing QoS priority byte.
-  const auto v2 = encode_request_frame(5, request, 100, /*version=*/2);
-  EXPECT_EQ(frame.size() + (kHeaderSizeV2 - kHeaderSizeV1) + 1, v2.size());
-
-  const auto decoded = decode_request_frame(frame.data(), frame.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.error.to_string();
-  EXPECT_EQ(decoded.value->version, 1u);
-  EXPECT_EQ(service::fingerprint(decoded.value->request),
-            service::fingerprint(request));
-}
+// Protocol v2: the one header, trace ids, control frames, and the
+// hard reject of every other version.
 
 TEST(ProtocolV2, TraceIdRidesTheV2HeaderBothWays) {
   const std::uint64_t trace_id = 0xFEEDFACE12345678ull;
@@ -607,23 +620,23 @@ TEST(ProtocolV2, TraceIdRidesTheV2HeaderBothWays) {
 
   QueryResponse response;
   response.status = service::Status::okay();
-  const auto reply =
-      encode_response_frame(9, response, kProtocolVersion, trace_id);
+  const auto reply = encode_response_frame(9, response, trace_id);
   const auto reply_decoded = decode_response_frame(reply.data(), reply.size());
   ASSERT_TRUE(reply_decoded.ok());
   EXPECT_EQ(reply_decoded.value->trace_id, trace_id);
 }
 
 TEST(ProtocolV2, ChunkRequestsAreRejectedOnV1Frames) {
-  // The chunk request types are v2-only: a v1 frame carrying one is
-  // malformed by definition (an old peer could never have sent it).
+  // A frame stamped v1 is a broken stream whatever it carries; the
+  // chunk request types (which no v1 peer could ever have sent) decode
+  // only at the current version.
   for (const Request& request :
        {sweep_chunk_request(), fault_chunk_request()}) {
     const auto v1_frame = encode_request_frame(3, request, 0, /*version=*/1);
     const auto decoded =
         decode_request_frame(v1_frame.data(), v1_frame.size());
     ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.error.code, WireErrorCode::Malformed);
+    EXPECT_EQ(decoded.error.code, WireErrorCode::UnsupportedVersion);
 
     const auto v2_frame = encode_request_frame(3, request, 0, /*version=*/2);
     EXPECT_TRUE(
@@ -648,13 +661,13 @@ TEST(ProtocolV2, PingPongFramesScanAsHeaderOnlyFrames) {
             FrameKind::Pong);
 }
 
-TEST(ProtocolV2, HelloHandshakeRoundTripsAtV1Framing) {
-  // Hello/HelloAck always travel with the v1 header: the handshake that
-  // *selects* a version must be readable at every version.
+TEST(ProtocolV2, HelloHandshakeRoundTripsAtTheOneHeader) {
+  // Hello/HelloAck travel with the same 28-byte header as every other
+  // frame; the payload is the advertised [min, max] range.
   const auto hello = encode_hello_frame(31, 1, kProtocolVersion);
   const FrameScan scan = scan_frame(hello.data(), hello.size());
   ASSERT_EQ(scan.state, FrameScan::State::Ready);
-  EXPECT_EQ(scan.header.version, 1u);
+  EXPECT_EQ(scan.frame_size, kHeaderSize + 4);
   EXPECT_EQ(scan.header.kind, FrameKind::Hello);
   const auto decoded = decode_hello_frame(hello.data(), hello.size());
   ASSERT_TRUE(decoded.ok()) << decoded.error.to_string();
@@ -672,9 +685,12 @@ TEST(ProtocolV2, HelloHandshakeRoundTripsAtV1Framing) {
 }
 
 TEST(ProtocolV2, NegotiateVersionPicksTheHighestCommonVersion) {
+  // There is one version: a range either holds it or cannot be served.
+  EXPECT_EQ(kMinProtocolVersion, kProtocolVersion);
   EXPECT_EQ(negotiate_version(1, kProtocolVersion), kProtocolVersion);
-  EXPECT_EQ(negotiate_version(1, 1), 1);  // old v1-only client
+  EXPECT_EQ(negotiate_version(1, 1), std::nullopt);  // old v1-only client
   EXPECT_EQ(negotiate_version(2, 2), 2);
+  EXPECT_EQ(negotiate_version(0, 0xFFFF), kProtocolVersion);
   // A client entirely above what we speak cannot be served.
   EXPECT_EQ(negotiate_version(kProtocolVersion + 1, kProtocolVersion + 5),
             std::nullopt);

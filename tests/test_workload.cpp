@@ -364,11 +364,13 @@ TEST(SimulateWire, ResponseRoundTripsAtVersion2) {
 }
 
 TEST(SimulateWire, Version1FramesCannotCarrySimulate) {
-  // Simulate is v2+: a v1 frame with its tag is malformed, not UB.
+  // A frame stamped v1 is rejected by version, typed, whatever it
+  // carries — never read as a request.
   const auto frame = wire::encode_request_frame(
       7, service::Request{simulate_request()}, 0, /*version=*/1);
   const auto decoded = wire::decode_request_frame(frame.data(), frame.size());
   EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error.code, wire::WireErrorCode::UnsupportedVersion);
 }
 
 // ---------------------------------------------------------------------------
